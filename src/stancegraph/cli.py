@@ -232,13 +232,16 @@ def cmd_eval(config_path, seed, mode, cache_dir, ablate, graphs, checkpoint,
 @click.argument("target")
 @click.argument("checkpoint", type=click.Path(exists=True))
 @click.option("--library", "library_path", type=click.Path(exists=True), default=None)
+@click.option("--force", is_flag=True, default=False)
 def cmd_predict(config_path, seed, mode, cache_dir, ablate, text, target,
-                checkpoint, library_path) -> None:
+                checkpoint, library_path, force) -> None:
     """Predict the stance of one text/target pair, with the filter trace."""
     cfg = _load_config(config_path, seed=seed, mode=mode, cache_dir=cache_dir)
     _apply_ablations(cfg, ablate)
     try:
-        model = load_checkpoint(checkpoint, force=True)
+        fingerprint = file_fingerprint(library_path) if library_path else None
+        model = load_checkpoint(checkpoint, library_fingerprint=fingerprint,
+                                force=force)
         provider = make_provider(cfg.embedding_provider, model.dimension)
         gateway = _gateway(cfg)
         from .gateway import render_p1
@@ -256,7 +259,7 @@ def cmd_predict(config_path, seed, mode, cache_dir, ablate, text, target,
         "target": target,
         "pred": model.labels[int(np.argmax(cache.probabilities))],
         "probabilities": [float(p) for p in cache.probabilities],
-        "selected_filters": [list(nc.selected) for nc in cache.node_caches[0]],
+        "selected_filters": cache.layers[0].selected.tolist(),
     }, ensure_ascii=False, sort_keys=True))
 
 

@@ -42,6 +42,10 @@ class TransportTimeoutError(StanceGraphError):
     pass
 
 
+class GatewayConfigError(StanceGraphError):
+    pass
+
+
 class ProviderError(StanceGraphError):
     pass
 

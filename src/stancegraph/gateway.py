@@ -20,8 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import (CacheMissError, EmptyFieldError, HttpError,
-                     TransportTimeoutError)
+from .errors import (CacheMissError, EmptyFieldError, GatewayConfigError,
+                     HttpError, TransportTimeoutError)
 
 P1_TEMPLATE = (
     "Your task is to analyze the attitude of the [{sentence}] towards the "
@@ -163,6 +163,9 @@ class Gateway:
                  backoff: float = 0.5):
         if mode not in ("live", "record", "replay"):
             raise ValueError(f"unknown gateway mode {mode!r}")
+        if max_retries < 1:
+            raise GatewayConfigError(
+                f"max_retries must be at least 1, got {max_retries}")
         self.mode = mode
         self.cache = _DiskCache(cache_path)
         if transport is None:

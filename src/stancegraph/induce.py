@@ -196,13 +196,16 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     return float(scores.mean())
 
 
-def select_k(points: np.ndarray, k_grid: list[int], seed: int
+def select_k(points: np.ndarray, k_grid: list[int], seed: int,
+             fits: Optional[dict[int, ClusteringResult]] = None
              ) -> tuple[int, dict[int, float]]:
-    """Run kmeans + silhouette per grid value; argmax score, ties to smaller K."""
+    """Run kmeans + silhouette per grid value; argmax score, ties to smaller K.
+    Each K's fit is stored in `fits` when given, so the caller can reuse it."""
     scores: dict[int, float] = {}
+    fits = {} if fits is None else fits
     for k in sorted(k_grid):
-        result = kmeans(points, k, seed)
-        scores[k] = silhouette(points, result.assignments) if k >= 2 else -1.0
+        fits[k] = kmeans(points, k, seed)
+        scores[k] = silhouette(points, fits[k].assignments) if k >= 2 else -1.0
     best = max(sorted(scores), key=lambda k: scores[k])  # sorted → ties to smaller K
     return best, scores
 
@@ -431,13 +434,14 @@ def induce_library(corpus: list[FolGraph], provider: EmbeddingProvider,
     pool = collect_predicates(corpus)
     points = np.stack([vec for _, vec in pool])
     if k_fixed is not None:
-        k = min(k_fixed, len(pool))
+        result = kmeans(points, min(k_fixed, len(pool)), seed)
     else:
         grid = [k for k in (k_grid or [4, 8, 16, 32, 64]) if k <= len(pool)]
         if not grid:
             grid = [min(2, len(pool))]
-        k, _ = select_k(points, grid, seed)
-    result = kmeans(points, k, seed)
+        fits: dict[int, ClusteringResult] = {}
+        k, _ = select_k(points, grid, seed, fits)
+        result = fits[k]
     nodes = abstract_clusters(result, pool, gateway, provider, model_id=model_id)
     graph = build_schema_graph(nodes, corpus, result, pool)
     return SchemaLibrary(dimension=points.shape[1], seed=seed, graph=graph,

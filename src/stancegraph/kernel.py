@@ -6,9 +6,12 @@ bank of schema-derived filters with a p-step random-walk kernel
     k(G_v, H) = s^T W (A_sub ⊗ A_filt)^p s,   s = vec(X_sub X_filt^T)
 
 computed via the vec identity ((A ⊗ B) vec(S) = vec(A S B^T) with row-major
-vec), never materializing the Kronecker matrix. Each node keeps its top-g
-kernel scores as features, layers stack, and a summed readout feeds a small
-ReLU head with softmax. All gradients are hand-derived reverse mode.
+vec), never materializing the Kronecker matrix. One layer of one graph is a
+few batched tensor ops: a 0/1 gather (N, n_sub, N) picks every node's
+subgraph at once, and the walk runs over (N, F, n_sub, n_filt) against the
+layer's stacked filters. Each node keeps its top-g kernel scores as
+features, layers stack, and a summed readout feeds a small ReLU head with
+softmax. All gradients are hand-derived reverse mode.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import copy
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -65,119 +68,100 @@ class PaddedSubgraph:
     node_indices: list[int]    # graph node ids, center first
 
 
+@dataclass
+class SubgraphBatch:
+    """Every node's padded k-hop subgraph as one gather: row j of node v's
+    subgraph is graph node node_indices[v, j], so its features are
+    gather[v] @ X and its adjacency is gather[v] A gather[v]^T."""
+    gather: np.ndarray         # (N, n_sub, N) 0/1; padded rows are zero
+    adjacency: np.ndarray      # (N, n_sub, n_sub)
+    node_indices: np.ndarray   # (N, n_sub) graph node ids, -1 when padded
+
+
+def khop_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int) -> SubgraphBatch:
+    """Boolean BFS from every node at once over the undirected skeleton out
+    to `hop` hops; node order is center first, then by hop distance then
+    node index; truncated to n_sub and zero-padded."""
+    n = adjacency.shape[0]
+    undirected = (adjacency != 0) | (adjacency.T != 0)
+    reached = frontier = np.eye(n, dtype=bool)
+    dist = np.where(reached, 0, hop + 1)        # hop + 1: not reached
+    for h in range(1, hop + 1):
+        frontier = (frontier @ undirected) & ~reached
+        dist[frontier] = h
+        reached = reached | frontier
+    order = np.argsort(dist * n + np.arange(n), axis=1)[:, :n_sub]
+    node_indices = np.full((n, n_sub), -1)
+    node_indices[:, :order.shape[1]] = np.where(
+        np.take_along_axis(dist, order, axis=1) <= hop, order, -1)
+    gather = (node_indices[:, :, None] == np.arange(n)).astype(np.float64)
+    return SubgraphBatch(gather=gather,
+                         adjacency=gather @ adjacency @ gather.transpose(0, 2, 1),
+                         node_indices=node_indices)
+
+
 def khop_subgraph(adjacency: np.ndarray, features: np.ndarray, v: int,
                   hop: int, n_sub: int) -> PaddedSubgraph:
-    """BFS over the undirected skeleton out to `hop` hops; node order is
-    center first, then by hop distance then node index; truncated to n_sub
-    and zero-padded."""
+    """Node v's view of khop_subgraphs."""
     n = adjacency.shape[0]
     if not 0 <= v < n:
         raise IndexOutOfRangeError(f"node {v} outside graph of size {n}")
-    undirected = (adjacency != 0) | (adjacency.T != 0)
-    order = [v]
-    seen = {v}
-    frontier = [v]
-    for _ in range(hop):
-        nxt = sorted({int(u) for w in frontier for u in np.nonzero(undirected[w])[0]
-                      if int(u) not in seen})
-        order.extend(nxt)
-        seen.update(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    order = order[:n_sub]
-    m = len(order)
-    sub_adj = np.zeros((n_sub, n_sub), dtype=np.float64)
-    sub_adj[:m, :m] = adjacency[np.ix_(order, order)]
-    feats = np.zeros((n_sub, features.shape[1]), dtype=np.float64)
-    feats[:m] = features[order]
-    return PaddedSubgraph(adjacency=sub_adj, features=feats,
-                          valid_count=m, node_indices=order)
+    batch = khop_subgraphs(adjacency, hop, n_sub)
+    indices = batch.node_indices[v]
+    return PaddedSubgraph(adjacency=batch.adjacency[v],
+                          features=batch.gather[v] @ features,
+                          valid_count=int((indices >= 0).sum()),
+                          node_indices=indices[indices >= 0].tolist())
 
 
 # ---------------------------------------------------------------------------
-# Random-walk kernel (vec-identity form) and its gradients
+# Random-walk kernel (vec-identity form), batched over nodes and filters.
+# Every product is a stacked matmul whose per-item shapes match the one-pair
+# form (Xs Xf^T, A S B^T, W s, s.t), so numpy makes the same BLAS call per
+# pair and the results are bit-identical to scoring one pair at a time:
+# top-g breaks ties between equal-valued filters on the last bit.
+
+def _walk(sub_feat: np.ndarray, sub_adj: np.ndarray, filt_feat: np.ndarray,
+          filt_adj: np.ndarray, p: int) -> list[np.ndarray]:
+    """[S_0 .. S_p] for subgraphs (..., n_sub, f) against filters
+    (..., n_filt, f) broadcast together: S_0 = Xs Xf^T, S_r = As S_{r-1} Af^T."""
+    if sub_feat.shape[-1] != filt_feat.shape[-1]:
+        raise ShapeMismatchError(
+            f"feature dims differ: {sub_feat.shape[-1]} vs {filt_feat.shape[-1]}")
+    steps = [sub_feat @ np.swapaxes(filt_feat, -1, -2)]
+    for _ in range(p):
+        steps.append(sub_adj @ steps[-1] @ np.swapaxes(filt_adj, -1, -2))
+    return steps
+
+
+def _kernel_values(s0: np.ndarray, sp: np.ndarray, W: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """vec(S_0)^T W vec(S_p) over the leading axes of s0 and sp, and W vec(S_p)."""
+    q = s0.shape[-2] * s0.shape[-1]
+    if (W.ndim == 1 and W.shape[0] != q) or (W.ndim != 1 and W.shape != (q, q)):
+        raise ShapeMismatchError(f"W shape {W.shape} inconsistent with q={q}")
+    sp = sp.reshape(*sp.shape[:-2], q, 1)
+    w_sp = W[:, None] * sp if W.ndim == 1 else W @ sp
+    return (s0.reshape(*s0.shape[:-2], 1, q) @ w_sp)[..., 0, 0], w_sp[..., 0]
+
 
 def rw_kernel(sub: PaddedSubgraph, filter_feat: np.ndarray,
               filter_adj: np.ndarray, W: np.ndarray, p: int) -> float:
-    return _rw_forward(sub.features, sub.adjacency, filter_feat, filter_adj, W, p)[0]
+    """One subgraph against one filter through the batched kernel."""
+    steps = _walk(sub.features, sub.adjacency, filter_feat, filter_adj, p)
+    return float(_kernel_values(steps[0], steps[-1], W)[0])
 
 
-def _rw_forward(Xs: np.ndarray, As: np.ndarray, Xf: np.ndarray, Af: np.ndarray,
-                W: np.ndarray, p: int) -> tuple[float, list[np.ndarray]]:
-    """Kernel value plus the list [S_0 .. S_p] needed for the backward pass.
-
-    S_0 = Xs Xf^T; S_r = As S_{r-1} Af^T; k = vec(S_0)^T W vec(S_p)."""
-    if Xs.shape[1] != Xf.shape[1]:
-        raise ShapeMismatchError(
-            f"feature dims differ: {Xs.shape[1]} vs {Xf.shape[1]}")
-    n, m = Xs.shape[0], Xf.shape[0]
-    q = n * m
-    diagonal = (W.ndim == 1)
-    if (diagonal and W.shape[0] != q) or (not diagonal and W.shape != (q, q)):
-        raise ShapeMismatchError(f"W shape {W.shape} inconsistent with q={q}")
-    steps = [Xs @ Xf.T]
-    for _ in range(p):
-        steps.append(As @ steps[-1] @ Af.T)
-    s0 = steps[0].ravel()
-    sp = steps[-1].ravel()
-    value = float(s0 @ (W * sp)) if diagonal else float(s0 @ (W @ sp))
-    return value, steps
-
-
-def _rw_backward(upstream: float, steps: list[np.ndarray], Xs: np.ndarray,
-                 As: np.ndarray, Xf: np.ndarray, Af: np.ndarray,
-                 W: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of upstream·k w.r.t. W, the filter tensors, and the
-    subgraph features (the latter threads into the previous layer)."""
-    n, m = steps[0].shape
-    s0 = steps[0].ravel()
-    sp = steps[-1].ravel()
-    diagonal = (W.ndim == 1)
-    if diagonal:
-        g_w = upstream * s0 * sp
-        g_s0 = upstream * (W * sp)
-        g_sp = upstream * (W * s0)
-    else:
-        g_w = upstream * np.outer(s0, sp)
-        g_s0 = upstream * (W @ sp)
-        g_sp = upstream * (W.T @ s0)
-    G = g_sp.reshape(n, m)
-    g_af = np.zeros_like(Af)
-    for r in range(len(steps) - 1, 0, -1):
-        X = steps[r - 1]
-        g_af += G.T @ As @ X           # d(As X Af^T)/dAf with upstream G
-        G = As.T @ G @ Af              # back to S_{r-1}
-    G0 = G + g_s0.reshape(n, m)
-    return {
-        "W": g_w,
-        "filter_feat": G0.T @ Xs,
-        "filter_adj": g_af,
-        "sub_feat": G0 @ Xf,
-    }
-
-
-def explicit_kernel_oracle(sub_adj: np.ndarray, sub_feat: np.ndarray,
-                           filt_adj: np.ndarray, filt_feat: np.ndarray,
-                           W: np.ndarray, p: int) -> float:
-    """Reference computation that materializes the Kronecker product and its
-    p-th power. Used only in tests and for small sizes."""
-    S = sub_feat @ filt_feat.T
-    s = S.ravel()
-    a_cross = np.kron(sub_adj, filt_adj)
-    powered = np.linalg.matrix_power(a_cross, p)
-    if W.ndim == 1:
-        W = np.diag(W)
-    return float(s @ W @ powered @ s)
+def _topg(scores: np.ndarray, g: int) -> np.ndarray:
+    """Per row, the indices of the g largest scores, ties to the smaller
+    index, sorted ascending."""
+    if not 1 <= g <= scores.shape[1]:
+        raise InvalidGError(f"g={g} outside [1, {scores.shape[1]}]")
+    return np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :g], axis=1)
 
 
 def topg_select(scores: list[float], g: int) -> list[int]:
-    """Indices of the g largest scores, ties to the smaller index, returned
-    sorted ascending."""
-    if not 1 <= g <= len(scores):
-        raise InvalidGError(f"g={g} outside [1, {len(scores)}]")
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    return sorted(int(i) for i in order[:g])
+    return _topg(np.asarray(scores, dtype=np.float64)[None], g)[0].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +169,8 @@ def topg_select(scores: list[float], g: int) -> list[int]:
 
 @dataclass
 class KernelLayerParams:
-    filter_feats: list[np.ndarray]    # each (n_filt, f)
-    filter_adjs: list[np.ndarray]     # each (n_filt, n_filt)
+    filter_feats: np.ndarray          # (F, n_filt, f)
+    filter_adjs: np.ndarray           # (F, n_filt, n_filt)
     W: np.ndarray                     # (q, q) dense or (q,) diagonal
     p: int
     g: int
@@ -214,6 +198,8 @@ class Model:
     seed: int = 0
 
     def parameters(self) -> "OrderedDict[str, np.ndarray]":
+        """Per-filter entries are views into the layer's stacked filters, so
+        an in-place update of a parameter writes the stack."""
         params: OrderedDict[str, np.ndarray] = OrderedDict()
         for li, layer in enumerate(self.layers):
             for fi in range(layer.n_filters):
@@ -274,16 +260,14 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
     feat_dim = d
     for level in range(cfg.layers):
         if level == 0:
-            feats = [f.copy() for f, _ in base]
+            feats = np.stack([f for f, _ in base])
         else:
-            feats = [rng.normal(0.0, 0.1, size=(cfg.n_filt, feat_dim))
-                     for _ in range(n_filters)]
-        adjs = [a.copy() for _, a in base]
+            feats = rng.normal(0.0, 0.1, size=(n_filters, cfg.n_filt, feat_dim))
         W = np.ones(q, dtype=np.float64) if cfg.diagonal_w else np.eye(q)
         layers.append(KernelLayerParams(
-            filter_feats=feats, filter_adjs=adjs, W=W, p=cfg.walk_length,
-            g=min(cfg.top_g, n_filters), hop=cfg.subgraph_hop,
-            n_sub=cfg.n_sub, n_filt=cfg.n_filt))
+            filter_feats=feats, filter_adjs=np.stack([a for _, a in base]), W=W,
+            p=cfg.walk_length, g=min(cfg.top_g, n_filters),
+            hop=cfg.subgraph_hop, n_sub=cfg.n_sub, n_filt=cfg.n_filt))
         feat_dim = layers[-1].g
 
     D = d + sum(layer.g for layer in layers)
@@ -302,17 +286,19 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
 # Forward / backward
 
 @dataclass
-class _NodeCache:
-    sub: PaddedSubgraph
-    steps_per_filter: list[list[np.ndarray]]
-    scores: list[float]
-    selected: list[int]
+class LayerCache:
+    """One layer's forward state for one graph of N nodes."""
+    subgraphs: SubgraphBatch
+    sub_feat: np.ndarray                 # (N, n_sub, f) = gather @ X
+    steps: list[np.ndarray]              # S_0 .. S_p, each (N, F, n_sub, n_filt)
+    scores: np.ndarray                   # (N, F)
+    selected: np.ndarray                 # (N, g) filter indices, ascending
 
 
 @dataclass
 class ForwardCache:
     layer_inputs: list[np.ndarray]       # X_0 .. X_L (layer_inputs[l] feeds layer l)
-    node_caches: list[list[_NodeCache]]  # per layer, per node
+    layers: list[LayerCache]
     phi: np.ndarray
     pre_hidden: np.ndarray
     hidden: np.ndarray
@@ -327,28 +313,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def layer_forward(adjacency: np.ndarray, features: np.ndarray,
-                  layer: KernelLayerParams) -> tuple[np.ndarray, list[_NodeCache]]:
+                  layer: KernelLayerParams,
+                  subgraphs: Optional[SubgraphBatch] = None
+                  ) -> tuple[np.ndarray, LayerCache]:
     """Per-node kernel features: all-filter scores, top-g selection, the
-    selected kernel values in filter-index order. Caches feed backward."""
-    n_nodes = features.shape[0]
-    out = np.zeros((n_nodes, layer.g), dtype=np.float64)
-    caches: list[_NodeCache] = []
-    for v in range(n_nodes):
-        sub = khop_subgraph(adjacency, features, v, layer.hop, layer.n_sub)
-        scores: list[float] = []
-        steps_all: list[list[np.ndarray]] = []
-        for fi in range(layer.n_filters):
-            value, steps = _rw_forward(sub.features, sub.adjacency,
-                                       layer.filter_feats[fi],
-                                       layer.filter_adjs[fi],
-                                       layer.W, layer.p)
-            scores.append(value)
-            steps_all.append(steps)
-        selected = topg_select(scores, layer.g)
-        out[v] = [scores[i] for i in selected]
-        caches.append(_NodeCache(sub=sub, steps_per_filter=steps_all,
-                                 scores=scores, selected=selected))
-    return out, caches
+    selected kernel values in filter-index order. The cache feeds backward;
+    `subgraphs` lets layers with the same hop and n_sub share one gather."""
+    if subgraphs is None:
+        subgraphs = khop_subgraphs(adjacency, layer.hop, layer.n_sub)
+    sub_feat = subgraphs.gather @ features
+    steps = _walk(sub_feat[:, None], subgraphs.adjacency[:, None],
+                  layer.filter_feats, layer.filter_adjs, layer.p)
+    scores, _ = _kernel_values(steps[0], steps[-1], layer.W)
+    selected = _topg(scores, layer.g)
+    out = np.take_along_axis(scores, selected, axis=1)
+    return out, LayerCache(subgraphs=subgraphs, sub_feat=sub_feat, steps=steps,
+                           scores=scores, selected=selected)
 
 
 def readout(layer_inputs: list[np.ndarray]) -> np.ndarray:
@@ -368,17 +348,20 @@ def forward(graph: FolGraph, model: Model) -> ForwardCache:
             f"graph embedding d={X.shape[1]}, model d={model.dimension}")
     adjacency = graph_adjacency(graph, model.relation_weights)
     layer_inputs = [X]
-    node_caches: list[list[_NodeCache]] = []
+    layer_caches: list[LayerCache] = []
+    gathers = {key: khop_subgraphs(adjacency, *key)
+               for key in {(layer.hop, layer.n_sub) for layer in model.layers}}
     for layer in model.layers:
-        out, caches = layer_forward(adjacency, layer_inputs[-1], layer)
-        node_caches.append(caches)
+        out, layer_cache = layer_forward(adjacency, layer_inputs[-1], layer,
+                                         gathers[layer.hop, layer.n_sub])
+        layer_caches.append(layer_cache)
         layer_inputs.append(out)
 
     phi = readout(layer_inputs)
     pre_hidden = model.W_h @ phi + model.b_h
     hidden = np.maximum(pre_hidden, 0.0)
     logits = model.W_o @ hidden + model.b_o
-    return ForwardCache(layer_inputs=layer_inputs, node_caches=node_caches,
+    return ForwardCache(layer_inputs=layer_inputs, layers=layer_caches,
                         phi=phi, pre_hidden=pre_hidden, hidden=hidden,
                         logits=logits, probabilities=softmax(logits))
 
@@ -387,61 +370,78 @@ def cross_entropy(probabilities: np.ndarray, gold_index: int) -> float:
     return float(-np.log(max(probabilities[gold_index], 1e-300)))
 
 
+def _pair_backward(upstream: np.ndarray, steps: list[np.ndarray],
+                   sub_feat: np.ndarray, sub_adj: np.ndarray,
+                   filt_feat: np.ndarray, filt_adj: np.ndarray,
+                   W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per (node, filter) pair, stacked on axis 0, the gradients of
+    upstream * k w.r.t. W, the filter features and adjacency, and the
+    subgraph features."""
+    n_pairs, n, m = steps[0].shape
+    u = upstream[:, None]
+    s0 = steps[0].reshape(n_pairs, n * m)
+    _, w_sp = _kernel_values(steps[0], steps[-1], W)
+    g_s0 = u * w_sp
+    if W.ndim == 1:
+        g_w = u * s0 * steps[-1].reshape(n_pairs, n * m)
+        g_sp = u * (W * s0)
+    else:
+        g_w = s0[:, :, None] * steps[-1].reshape(n_pairs, 1, n * m)
+        g_w *= u[:, :, None]                       # in place: (P, q, q) is large
+        g_sp = u * (W.T @ s0[..., None])[..., 0]
+    G = g_sp.reshape(n_pairs, n, m)
+    g_adj = np.zeros_like(filt_adj)
+    for r in range(len(steps) - 1, 0, -1):
+        g_adj += np.swapaxes(G, -1, -2) @ sub_adj @ steps[r - 1]
+        G = np.swapaxes(sub_adj, -1, -2) @ G @ filt_adj    # back to S_{r-1}
+    G0 = G + g_s0.reshape(n_pairs, n, m)
+    return g_w, np.swapaxes(G0, -1, -2) @ sub_feat, g_adj, G0 @ filt_feat
+
+
 def backward(graph: FolGraph, model: Model, gold_index: int,
              cache: Optional[ForwardCache]) -> "OrderedDict[str, np.ndarray]":
     """Exact reverse-mode gradients of the cross-entropy loss. Top-g
     selection is treated as constant (gradients flow only through the
-    selected filters)."""
+    selected filters). Pair gradients are summed in (node, selected slot)
+    order, the order of a loop over pairs."""
     if cache is None:
         raise StaleCacheError("backward requires the forward cache")
-    grads = model.zero_grads()
-    one_hot = np.zeros_like(cache.probabilities)
-    one_hot[gold_index] = 1.0
-    d_logits = cache.probabilities - one_hot
-    grads["head.W_o"] += np.outer(d_logits, cache.hidden)
-    grads["head.b_o"] += d_logits
-    d_hidden = model.W_o.T @ d_logits
-    d_pre = d_hidden * (cache.pre_hidden > 0)
-    grads["head.W_h"] += np.outer(d_pre, cache.phi)
-    grads["head.b_h"] += d_pre
-    d_phi = model.W_h.T @ d_pre
+    d_logits = cache.probabilities - np.eye(len(cache.probabilities))[gold_index]
+    d_pre = (model.W_o.T @ d_logits) * (cache.pre_hidden > 0)
 
     # split readout gradient back into per-layer summed-feature segments
-    segments = []
-    offset = 0
-    for lf in cache.layer_inputs:
-        width = lf.shape[1]
-        segments.append(d_phi[offset:offset + width])
-        offset += width
+    widths = [lf.shape[1] for lf in cache.layer_inputs]
+    segments = np.split(model.W_h.T @ d_pre, np.cumsum(widths)[:-1])
 
-    n_nodes = cache.layer_inputs[0].shape[0]
     # d_X starts from the readout contribution of the deepest layer and is
-    # augmented with kernel contributions while walking layers top-down
+    # augmented with kernel contributions while walking layers top-down;
+    # the gradient w.r.t. the frozen node embeddings is never formed
+    n_nodes = cache.layer_inputs[0].shape[0]
     d_X = np.tile(segments[-1], (n_nodes, 1))
+    grad_layers: list[KernelLayerParams] = []
     for li in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[li]
-        prev_width = cache.layer_inputs[li].shape[1]
-        d_prev = np.tile(segments[li], (n_nodes, 1))
-        for v in range(n_nodes):
-            node_cache = cache.node_caches[li][v]
-            sub = node_cache.sub
-            for j, fi in enumerate(node_cache.selected):
-                upstream = float(d_X[v, j])
-                if upstream == 0.0:
-                    continue
-                local = _rw_backward(upstream, node_cache.steps_per_filter[fi],
-                                     sub.features, sub.adjacency,
-                                     layer.filter_feats[fi],
-                                     layer.filter_adjs[fi], layer.W)
-                grads[f"layer{li}.W"] += local["W"]
-                grads[f"layer{li}.filter{fi}.feat"] += local["filter_feat"]
-                grads[f"layer{li}.filter{fi}.adj"] += local["filter_adj"]
-                valid = sub.valid_count
-                d_prev[sub.node_indices[:valid], :] += \
-                    local["sub_feat"][:valid, :prev_width]
-        d_X = d_prev
-    # d_X now holds the gradient w.r.t. the frozen node embeddings; discarded
-    return grads
+        layer, lc = model.layers[li], cache.layers[li]
+        nodes, slots = np.nonzero(d_X)
+        filters = lc.selected[nodes, slots]
+        g_w, g_feat, g_adj, g_sub = _pair_backward(
+            d_X[nodes, slots], [s[nodes, filters] for s in lc.steps],
+            lc.sub_feat[nodes], lc.subgraphs.adjacency[nodes],
+            layer.filter_feats[filters], layer.filter_adjs[filters], layer.W)
+        feats = np.zeros_like(layer.filter_feats)
+        adjs = np.zeros_like(layer.filter_adjs)
+        np.add.at(feats, filters, g_feat)
+        np.add.at(adjs, filters, g_adj)
+        grad_layers.insert(0, replace(layer, filter_feats=feats,
+                                      filter_adjs=adjs, W=g_w.sum(axis=0)))
+        if li:
+            # scatter through the gather's transpose: row j of pair i lands
+            # on graph node node_indices[nodes[i], j]
+            rows = lc.subgraphs.node_indices[nodes]
+            d_X = np.tile(segments[li], (n_nodes, 1))
+            np.add.at(d_X, rows[rows >= 0], g_sub[rows >= 0])
+    return replace(model, layers=grad_layers,
+                   W_h=np.outer(d_pre, cache.phi), b_h=d_pre,
+                   W_o=np.outer(d_logits, cache.hidden), b_o=d_logits).parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +499,8 @@ def save_checkpoint(model: Model, path: str) -> None:
                 "diagonal_w": layer.W.ndim == 1,
                 "W": layer.W.tolist(),
                 "filters": [
-                    {"feat": layer.filter_feats[i].tolist(),
-                     "adj": layer.filter_adjs[i].tolist()}
-                    for i in range(layer.n_filters)
+                    {"feat": feat.tolist(), "adj": adj.tolist()}
+                    for feat, adj in zip(layer.filter_feats, layer.filter_adjs)
                 ],
             }
             for layer in model.layers
@@ -530,8 +529,8 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
     layers = []
     for ld in doc["layers"]:
         layers.append(KernelLayerParams(
-            filter_feats=[np.asarray(f["feat"], dtype=np.float64) for f in ld["filters"]],
-            filter_adjs=[np.asarray(f["adj"], dtype=np.float64) for f in ld["filters"]],
+            filter_feats=np.asarray([f["feat"] for f in ld["filters"]], dtype=np.float64),
+            filter_adjs=np.asarray([f["adj"] for f in ld["filters"]], dtype=np.float64),
             W=np.asarray(ld["W"], dtype=np.float64),
             p=ld["p"], g=ld["g"], hop=ld["hop"],
             n_sub=ld["n_sub"], n_filt=ld["n_filt"]))

@@ -21,7 +21,6 @@ _STANCE_WORDS = ("Support", "Opposed", "Neutral")
 @dataclass
 class GenerateStats:
     examples: int = 0
-    failed_examples: int = 0
     dropped_lines: int = 0
     unparsed_lines: int = 0
     fallback_graphs: int = 0

@@ -271,7 +271,7 @@ def evaluate(test_set: list[LabeledExample], model: Model,
             "gold": ex.label,
             "pred": pred,
             "probabilities": [round(float(p), 10) for p in cache.probabilities],
-            "selected_filters": [list(nc.selected) for nc in cache.node_caches[0]],
+            "selected_filters": cache.layers[0].selected.tolist(),
         })
     golds = [ex.label for ex in test_set]
     metrics = {mode: macro_f1(preds, golds, mode, model.labels) for mode in modes}

@@ -16,12 +16,12 @@ from stancegraph.config import RunConfig
 from stancegraph.errors import ParseError
 from stancegraph.fol import Connective, Predicate, parse_fol_line
 from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
-                                build_model, cross_entropy,
-                                explicit_kernel_oracle, forward, rw_kernel,
+                                build_model, cross_entropy, forward, rw_kernel,
                                 softmax)
 from stancegraph.induce import kmeans, select_k, silhouette
 from stancegraph.train import dataset_loss, evaluate, macro_f1, train
 from tests.conftest import DATA_DIR, base_config
+from tests.oracle import explicit_kernel_oracle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

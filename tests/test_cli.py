@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from stancegraph.cli import main
+from stancegraph.pipeline import file_fingerprint
 from stancegraph.synth import FIXTURE_DIMENSION, FIXTURE_PROVIDER
 from tests.conftest import DATA_DIR
 
@@ -159,6 +160,22 @@ class TestErrorPaths:
                 pipeline["checkpoint"], "--library", str(other_library)]
         result = CliRunner().invoke(main, args)
         assert result.exit_code != 0
+        forced = CliRunner().invoke(main, args + ["--force"])
+        assert forced.exit_code == 0, forced.output
+
+    def test_predict_fingerprint_mismatch_needs_force(self, pipeline, tmp_path):
+        other_library = tmp_path / "other-library.json"
+        doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
+        doc["seed"] = 999
+        other_library.write_text(json.dumps(doc, sort_keys=True))
+        with open(DATA_DIR / "train.csv", encoding="utf-8", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        args = ["predict", *pipeline["common"], row["text"], row["target"],
+                pipeline["checkpoint"], "--library", str(other_library)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code != 0
+        assert file_fingerprint(pipeline["library"]) in result.output
+        assert file_fingerprint(str(other_library)) in result.output
         forced = CliRunner().invoke(main, args + ["--force"])
         assert forced.exit_code == 0, forced.output
 

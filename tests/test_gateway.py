@@ -2,7 +2,8 @@
 
 import pytest
 
-from stancegraph.errors import CacheMissError, EmptyFieldError, HttpError
+from stancegraph.errors import (CacheMissError, EmptyFieldError,
+                                GatewayConfigError, HttpError)
 from stancegraph.gateway import (Gateway, PromptRequest, render_p1, render_p2)
 
 
@@ -125,6 +126,12 @@ class TestGatewayModes:
                           transport=flaky, backoff=0.0)
         assert gateway.complete(render_p1("a", "b")) == "recovered"
         assert attempts["n"] == 3
+
+    @pytest.mark.parametrize("max_retries", [0, -1])
+    def test_fewer_than_one_attempt_rejected(self, tmp_path, max_retries):
+        with pytest.raises(GatewayConfigError, match=str(max_retries)):
+            Gateway(mode="live", cache_path=str(tmp_path / "c.jsonl"),
+                    transport=lambda req: "unused", max_retries=max_retries)
 
     def test_retries_exhausted(self, tmp_path):
         def broken(req):

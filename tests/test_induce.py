@@ -10,13 +10,16 @@ from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (EmptyCorpusError, InvalidFilterCountError,
                                 SchemaFormatError, SingleClusterError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
+from stancegraph import induce
 from stancegraph.gateway import Gateway
 from stancegraph.induce import (ClusteringResult, SchemaEdge, SchemaGraph,
                                 SchemaNode, abstract_clusters,
                                 assign_to_cluster, build_schema_graph,
-                                collect_predicates, extract_filters, kmeans,
-                                load_library, save_library, select_k,
-                                silhouette)
+                                collect_predicates, extract_filters,
+                                induce_library, kmeans, load_library,
+                                save_library, select_k, silhouette)
+from stancegraph.synth import FIXTURE_INDUCE_SEED
+from tests.conftest import replay_gateway
 
 
 def _node(name, *args, emb=None):
@@ -340,6 +343,27 @@ class TestLibraryPersistence:
 
 
 class TestSessionLibrary:
+    def test_grid_search_reuses_winning_fit(self, all_graphs, provider,
+                                            fixture_cfg, monkeypatch, tmp_path):
+        grid = fixture_cfg.k_grid
+        fitted = []
+
+        def counting_kmeans(points, k, seed):
+            fitted.append(k)
+            return kmeans(points, k, seed)
+
+        monkeypatch.setattr(induce, "kmeans", counting_kmeans)
+        searched = induce_library(all_graphs, provider, replay_gateway(),
+                                  seed=FIXTURE_INDUCE_SEED, k_grid=grid)
+        pool_size = len(collect_predicates(all_graphs))
+        assert sorted(fitted) == sorted(k for k in grid if k <= pool_size)
+        fresh = induce_library(all_graphs, provider, replay_gateway(),
+                               seed=FIXTURE_INDUCE_SEED, k_fixed=searched.k)
+        save_library(searched, str(tmp_path / "searched.json"))
+        save_library(fresh, str(tmp_path / "fresh.json"))
+        assert (tmp_path / "searched.json").read_bytes() == \
+            (tmp_path / "fresh.json").read_bytes()
+
     def test_selected_k(self, library):
         assert library.k == 8
         assert len(library.graph.nodes) == 8

@@ -9,12 +9,12 @@ from stancegraph.errors import (DimensionMismatchError, EmptySetError,
                                 ShapeMismatchError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
-                                build_model, cross_entropy,
-                                explicit_kernel_oracle, forward,
+                                build_model, cross_entropy, forward,
                                 graph_adjacency, khop_subgraph, layer_forward,
                                 load_checkpoint, readout, rw_kernel,
                                 save_checkpoint, softmax, topg_select)
 from tests.conftest import base_config
+from tests.oracle import explicit_kernel_oracle
 
 
 def _chain_graph(n, d=8):
