@@ -132,7 +132,7 @@ def cmd_induce(config_path, seed, mode, cache_dir, ablate,
         library = induce_library(
             [ex.graph for ex in examples], provider, gateway, seed=cfg.seed,
             k_grid=cfg.k_grid, k_fixed=cfg.k_fixed, model_id=cfg.model_id,
-            config_fingerprint=cfg.fingerprint())
+            config_fingerprint=cfg.fingerprint(), p2_max_lines=cfg.p2_max_lines)
         save_library(library, out)
     except StanceGraphError as exc:
         raise click.ClickException(str(exc)) from exc

@@ -24,6 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
+from .gateway import read_jsonl_cache
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,11 +173,8 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
         self._cache: dict[str, list[float]] = {}
         self._lock = threading.Lock()
         if cache_path and os.path.exists(cache_path):
-            with open(cache_path, encoding="utf-8") as fh:
-                for line in fh:
-                    if line.strip():
-                        entry = json.loads(line)
-                        self._cache[entry["key"]] = entry["vector"]
+            for entry in read_jsonl_cache(cache_path):
+                self._cache[entry["key"]] = entry["vector"]
 
     def _http_transport(self, payload: dict) -> list[list[float]]:
         import requests

@@ -31,6 +31,15 @@ class CacheMissError(StanceGraphError):
     pass
 
 
+class CacheFormatError(StanceGraphError):
+    """A cache file has a torn or undecodable line."""
+
+    def __init__(self, path, line, reason):
+        super().__init__(f"{path}: line {line} is not a cache entry ({reason})")
+        self.path = path
+        self.line = line
+
+
 class HttpError(StanceGraphError):
     def __init__(self, message, status=None, retries=0):
         super().__init__(message)

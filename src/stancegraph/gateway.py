@@ -18,10 +18,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .errors import (CacheMissError, EmptyFieldError, GatewayConfigError,
-                     HttpError, TransportTimeoutError)
+from .errors import (CacheFormatError, CacheMissError, EmptyFieldError,
+                     GatewayConfigError, HttpError, TransportTimeoutError)
 
 P1_TEMPLATE = (
     "Your task is to analyze the attitude of the [{sentence}] towards the "
@@ -78,6 +78,21 @@ def render_p2(predicate_strings: list[str], model_id: str = "default-model",
     return req
 
 
+def read_jsonl_cache(path: str) -> Iterator[dict]:
+    """The entries of an append-only JSONL cache, in file order. A torn or
+    undecodable line (say, the tail of an interrupted write) raises
+    CacheFormatError naming the path and the line number."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise CacheFormatError(path, number, exc) from exc
+            yield entry
+
+
 class _DiskCache:
     """Append-only newline-JSON cache. Writes are serialized by a lock and
     emitted as single write() calls, so concurrent writers never corrupt
@@ -88,13 +103,8 @@ class _DiskCache:
         self._lock = threading.Lock()
         self._entries: dict[str, str] = {}
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
-                    self._entries[entry["key"]] = entry["response"]
+            for entry in read_jsonl_cache(path):
+                self._entries[entry["key"]] = entry["response"]
 
     def get(self, key: str) -> Optional[str]:
         return self._entries.get(key)

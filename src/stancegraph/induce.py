@@ -25,6 +25,9 @@ from .gateway import Gateway, render_p2
 
 LIBRARY_VERSION = 1
 KMEANS_MAX_ITER = 300
+# Largest (rows, m, d) float64 difference block the distance code builds:
+# 2**20 elements, 8 MB. Memory stays bounded as the predicate pool grows.
+_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -143,9 +146,29 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringResult:
                             inertia=inertia, seed=seed)
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centroids[None, :, :]
-    return np.sum(diff * diff, axis=2)
+def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (start, block): squared distances from rows start:start+len(block)
+    of `a` to every row of `b`, from (rows, m, d) difference blocks of at most
+    _CHUNK_ELEMENTS elements (one row when a single row is larger). Each
+    entry is the same contiguous length-d reduction whatever the block size,
+    so the result does not depend on the chunking bit for bit."""
+    rows = max(1, _CHUNK_ELEMENTS // max(1, b.shape[0] * b.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        yield start, _sq_dist_rows(a[start:start + rows], b)
+
+
+def _sq_dist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    diff = a[:, None, :] - b[None, :, :]
+    diff *= diff
+    return np.sum(diff, axis=2)
+
+
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of a and b."""
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
+    for start, block in _sq_dist_blocks(a, b):
+        out[start:start + len(block)] = block
+    return out
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -172,41 +195,61 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
     """Mean per-point separation score (b - a) / (a + b), where a is the mean
     intra-cluster distance and b the smallest mean distance to another
     cluster. Singletons and degenerate a = b = 0 points contribute 0."""
+    return silhouettes(points, [assignments])[0]
+
+
+def silhouettes(points: np.ndarray, labelings: list[np.ndarray]) -> list[float]:
+    """`silhouette` of each labeling of the same points, from one chunked
+    pass over the pairwise distances: each row block's distances to all
+    points are summed per cluster of every labeling at once, through a
+    stacked one-hot (n, sum of K) matrix."""
     points = np.asarray(points, dtype=np.float64)
-    assignments = np.asarray(assignments)
-    labels = np.unique(assignments)
-    if labels.size < 2:
-        raise SingleClusterError("silhouette needs at least 2 clusters")
     n = points.shape[0]
-    dmat = np.sqrt(np.maximum(_sq_dists(points, points), 0.0))
-    scores = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        own = assignments[i]
-        mask_own = (assignments == own)
-        size_own = int(mask_own.sum())
-        if size_own <= 1:
-            continue  # singleton contributes 0
-        a = float(dmat[i, mask_own].sum() / (size_own - 1))
-        b = min(float(dmat[i, assignments == other].mean())
-                for other in labels if other != own)
+    rows = np.arange(n)
+    codes, sizes, offsets = [], [], [0]
+    for assignments in labelings:
+        labels, code = np.unique(np.asarray(assignments), return_inverse=True)
+        if labels.size < 2:
+            raise SingleClusterError("silhouette needs at least 2 clusters")
+        codes.append(code.reshape(-1))
+        sizes.append(np.bincount(codes[-1]))
+        offsets.append(offsets[-1] + labels.size)
+    onehot = np.zeros((n, offsets[-1]), dtype=np.float64)
+    for code, offset in zip(codes, offsets):
+        onehot[rows, offset + code] = 1.0
+    sums = np.empty_like(onehot)           # per-point distance sum per cluster
+    for start, block in _sq_dist_blocks(points, points):
+        sums[start:start + len(block)] = np.sqrt(np.maximum(block, 0.0)) @ onehot
+    scores = []
+    for code, size, offset in zip(codes, sizes, offsets):
+        own_size = size[code]
+        means = sums[:, offset:offset + size.size] / size
+        a = sums[rows, offset + code] / np.maximum(own_size - 1, 1)
+        means[rows, code] = np.inf
+        b = means.min(axis=1)
         denom = a + b
-        if denom == 0.0:
-            continue
-        scores[i] = (b - a) / denom
-    return float(scores.mean())
+        valid = (own_size > 1) & (denom != 0.0)   # singletons, a = b = 0 score 0
+        point_scores = np.zeros(n, dtype=np.float64)
+        point_scores[valid] = (b[valid] - a[valid]) / denom[valid]
+        scores.append(float(point_scores.mean()))
+    return scores
 
 
 def select_k(points: np.ndarray, k_grid: list[int], seed: int,
              fits: Optional[dict[int, ClusteringResult]] = None
              ) -> tuple[int, dict[int, float]]:
-    """Run kmeans + silhouette per grid value; argmax score, ties to smaller K.
+    """Run kmeans per grid value and score every fit with K >= 2 in one
+    silhouette pass (K < 2 scores -1); argmax score, ties to smaller K.
     Each K's fit is stored in `fits` when given, so the caller can reuse it."""
-    scores: dict[int, float] = {}
     fits = {} if fits is None else fits
-    for k in sorted(k_grid):
+    grid = sorted(set(k_grid))
+    for k in grid:
         fits[k] = kmeans(points, k, seed)
-        scores[k] = silhouette(points, fits[k].assignments) if k >= 2 else -1.0
-    best = max(sorted(scores), key=lambda k: scores[k])  # sorted → ties to smaller K
+    scored = [k for k in grid if k >= 2]
+    scores = dict.fromkeys(grid, -1.0)
+    scores.update(zip(scored, silhouettes(points, [fits[k].assignments
+                                                   for k in scored])))
+    best = max(grid, key=lambda k: scores[k])  # sorted → ties to smaller K
     return best, scores
 
 
@@ -428,7 +471,8 @@ def induce_library(corpus: list[FolGraph], provider: EmbeddingProvider,
                    k_grid: Optional[list[int]] = None,
                    k_fixed: Optional[int] = None,
                    model_id: str = "default-model",
-                   config_fingerprint: str = "") -> SchemaLibrary:
+                   config_fingerprint: str = "",
+                   p2_max_lines: int = 50) -> SchemaLibrary:
     """End-to-end induction: pool → (select_k | fixed K) → kmeans →
     abstract → schema graph."""
     pool = collect_predicates(corpus)
@@ -442,7 +486,8 @@ def induce_library(corpus: list[FolGraph], provider: EmbeddingProvider,
         fits: dict[int, ClusteringResult] = {}
         k, _ = select_k(points, grid, seed, fits)
         result = fits[k]
-    nodes = abstract_clusters(result, pool, gateway, provider, model_id=model_id)
+    nodes = abstract_clusters(result, pool, gateway, provider, model_id=model_id,
+                              p2_max_lines=p2_max_lines)
     graph = build_schema_graph(nodes, corpus, result, pool)
     return SchemaLibrary(dimension=points.shape[1], seed=seed, graph=graph,
                          clustering=result,

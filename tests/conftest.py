@@ -41,6 +41,16 @@ def replay_gateway() -> Gateway:
     return Gateway(mode="replay", cache_path=CACHE_PATH)
 
 
+def torn_cache(path, mid_character):
+    """The first three lines of the fixture cache and a torn fourth line,
+    cut after 40 bytes or inside a multi-byte UTF-8 character."""
+    with open(CACHE_PATH, "rb") as fh:
+        lines = [next(fh) for _ in range(4)]
+    cut = lines[3].index("∧".encode("utf-8")) + 1 if mid_character else 40
+    path.write_bytes(b"".join(lines[:3]) + lines[3][:cut])
+    return str(path)
+
+
 @pytest.fixture(scope="session")
 def fixture_cfg() -> RunConfig:
     return base_config()

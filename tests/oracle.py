@@ -29,3 +29,28 @@ def bfs_subgraph_order(adjacency: np.ndarray, v: int, hop: int,
         order.extend(frontier)
         seen.update(frontier)
     return order[:n_sub]
+
+
+def loop_silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
+    """Mean silhouette from the full (n, n) distance matrix and one loop over
+    points and labels; singletons and a = b = 0 points score 0. Only for
+    small sizes: the broadcast builds an (n, n, d) temporary."""
+    points = np.asarray(points, dtype=np.float64)
+    assignments = np.asarray(assignments)
+    labels = np.unique(assignments)
+    diff = points[:, None, :] - points[None, :, :]
+    dmat = np.sqrt(np.maximum(np.sum(diff * diff, axis=2), 0.0))
+    scores = np.zeros(points.shape[0], dtype=np.float64)
+    for i in range(points.shape[0]):
+        own = assignments[i]
+        mask_own = (assignments == own)
+        size_own = int(mask_own.sum())
+        if size_own <= 1:
+            continue
+        a = float(dmat[i, mask_own].sum() / (size_own - 1))
+        b = min(float(dmat[i, assignments == other].mean())
+                for other in labels if other != own)
+        if a + b == 0.0:
+            continue
+        scores[i] = (b - a) / (a + b)
+    return float(scores.mean())

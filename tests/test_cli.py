@@ -6,10 +6,11 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from stancegraph import cli
 from stancegraph.cli import main
 from stancegraph.pipeline import file_fingerprint
 from stancegraph.synth import FIXTURE_DIMENSION, FIXTURE_PROVIDER
-from tests.conftest import DATA_DIR
+from tests.conftest import DATA_DIR, torn_cache
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,39 @@ class TestErrorPaths:
         assert file_fingerprint(str(other_library)) in result.output
         forced = CliRunner().invoke(main, args + ["--force"])
         assert forced.exit_code == 0, forced.output
+
+    def test_predict_on_torn_cache_fails_without_traceback(self, pipeline,
+                                                           config_path,
+                                                           tmp_path):
+        path = torn_cache(tmp_path / "llm_cache.jsonl", mid_character=False)
+        with open(DATA_DIR / "train.csv", encoding="utf-8", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        result = CliRunner().invoke(main, [
+            "predict", "--config", config_path, "--mode", "replay",
+            "--cache-dir", str(tmp_path), row["text"], row["target"],
+            pipeline["checkpoint"]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{path}: line 4" in result.output
+
+    def test_induce_passes_p2_max_lines(self, pipeline, config_path,
+                                        monkeypatch, tmp_path):
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["p2_max_lines"])
+            return real(*args, **kwargs)
+
+        real = cli.induce_library
+        monkeypatch.setattr(cli, "induce_library", spy)
+        config = tmp_path / "config.json"
+        with open(config_path, encoding="utf-8") as fh:
+            config.write_text(json.dumps({**json.load(fh), "p2_max_lines": 2}))
+        result = _run(["induce", "--config", str(config), "--mode", "replay",
+                       "--cache-dir", str(DATA_DIR), "--k", "8",
+                       pipeline["all_graphs"], str(tmp_path / "library.json")])
+        assert result.exit_code == 0, result.output
+        assert seen == [2]
 
     def test_inspect_missing_file(self):
         result = CliRunner().invoke(main, ["inspect", "/no/such/library.json"])

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from stancegraph.embed import (HashEmbeddingProvider, TokenAverageProvider,
-                               cosine, make_provider)
+from stancegraph.embed import (HashEmbeddingProvider, RemoteEmbeddingProvider,
+                               TokenAverageProvider, cosine, make_provider)
 from stancegraph.embed import test_embed as embed_text
-from stancegraph.errors import (DimensionMismatchError, ProviderError,
-                                ZeroVectorError)
+from stancegraph.errors import (CacheFormatError, DimensionMismatchError,
+                                ProviderError, ZeroVectorError)
 
 
 class TestTestEmbed:
@@ -83,3 +83,15 @@ class TestProviders:
         assert isinstance(make_provider("token-average", 8), TokenAverageProvider)
         with pytest.raises(Exception):
             make_provider("no-such-provider", 8)
+
+
+class TestRemoteCache:
+    def test_torn_last_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text('{"key": "a", "vector": [1.0, 0.0]}\n'
+                        '{"key": "b", "vector": [0.0, 1.')
+        with pytest.raises(CacheFormatError, match="line 2") as info:
+            RemoteEmbeddingProvider(dimension=2, model="m",
+                                    cache_path=str(path),
+                                    transport=lambda payload: [])
+        assert str(path) in str(info.value)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from stancegraph.errors import (CacheMissError, EmptyFieldError,
-                                GatewayConfigError, HttpError)
+from stancegraph.errors import (CacheFormatError, CacheMissError,
+                                EmptyFieldError, GatewayConfigError, HttpError)
 from stancegraph.gateway import (Gateway, PromptRequest, render_p1, render_p2)
+from tests.conftest import torn_cache
 
 
 class TestRenderP1:
@@ -141,3 +142,12 @@ class TestGatewayModes:
                           transport=broken, max_retries=2, backoff=0.0)
         with pytest.raises(HttpError):
             gateway.complete(render_p1("a", "b"))
+
+
+class TestCacheFormat:
+    @pytest.mark.parametrize("mid_character", [False, True])
+    def test_torn_last_line_names_path_and_line(self, tmp_path, mid_character):
+        path = torn_cache(tmp_path / "llm_cache.jsonl", mid_character)
+        with pytest.raises(CacheFormatError, match="line 4") as info:
+            Gateway(mode="replay", cache_path=path)
+        assert path in str(info.value)

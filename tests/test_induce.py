@@ -364,6 +364,24 @@ class TestSessionLibrary:
         assert (tmp_path / "searched.json").read_bytes() == \
             (tmp_path / "fresh.json").read_bytes()
 
+    def test_p2_prompts_respect_max_lines(self, all_graphs, provider,
+                                          tmp_path):
+        prompts = []
+
+        def spy(req):
+            prompts.append(req.filled_prompt)
+            return "summary"
+
+        gateway = Gateway(mode="record", cache_path=str(tmp_path / "c.jsonl"),
+                          transport=spy)
+        library = induce_library(all_graphs, provider, gateway,
+                                 seed=FIXTURE_INDUCE_SEED, k_fixed=2,
+                                 p2_max_lines=2)
+        # the predicate lines follow the template's one blank line
+        lines = [len(p.split("\n\n", 1)[1].splitlines()) for p in prompts]
+        assert len(prompts) > library.k  # clusters larger than the cap
+        assert max(lines) == 2
+
     def test_selected_k(self, library):
         assert library.k == 8
         assert len(library.graph.nodes) == 8
