@@ -136,6 +136,10 @@ def cmd_induce(config_path, seed, mode, cache_dir, ablate,
         save_library(library, out)
     except StanceGraphError as exc:
         raise click.ClickException(str(exc)) from exc
+    fallbacks = sum(node.fallback for node in library.graph.nodes)
+    if fallbacks:
+        click.echo(f"P2 fallbacks: {fallbacks} of {library.k} schema nodes "
+                   f"use their nearest member as summary", err=True)
     click.echo(f"induced schema library with K={library.k} -> {out}")
 
 

@@ -44,7 +44,6 @@ class RunConfig:
     validation_interval: float = 0.2
     weight_decay: float = 0.01
     grad_clip: float | None = None
-    trials: int = 3
     seed: int = 0
     # ablations
     random_filters: bool = False

@@ -8,23 +8,21 @@ Two offline providers are fully deterministic and platform-stable:
   L2-normalized, so texts sharing tokens land near each other. Used by the
   synthetic pipeline where clustering needs locality.
 
-The remote provider speaks the common POST /embeddings JSON shape and caches
-responses by text hash in newline-delimited JSON.
+The remote provider speaks the common POST /embeddings JSON shape and records
+its vectors in the gateway's JSONL cache, keyed by text and model.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import re
-import threading
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
-from .gateway import read_jsonl_cache
+from .gateway import PromptRequest, _DiskCache
 
 _MASK64 = (1 << 64) - 1
 
@@ -155,26 +153,22 @@ class TokenAverageProvider(EmbeddingProvider):
 
 
 class RemoteEmbeddingProvider(EmbeddingProvider):
-    """POST <base-url>/embeddings with {model, input:[...]}, cached by text."""
+    """POST <base-url>/embeddings with {model, input:[...]}. Vectors are kept
+    in the gateway's JSONL cache, keyed by (text, model)."""
 
     name = "remote"
 
     def __init__(self, dimension: int, model: str,
                  base_url: Optional[str] = None,
                  api_key: Optional[str] = None,
-                 cache_path: Optional[str] = None,
+                 cache_path: str = "embedding_cache.jsonl",
                  transport=None):
         self.dimension = dimension
         self.model = model
         self.base_url = base_url or os.environ.get("LLM_BASE_URL", "")
         self.api_key = api_key or os.environ.get("LLM_API_KEY", "")
-        self.cache_path = cache_path
+        self.cache = _DiskCache(cache_path)
         self._transport = transport or self._http_transport
-        self._cache: dict[str, list[float]] = {}
-        self._lock = threading.Lock()
-        if cache_path and os.path.exists(cache_path):
-            for entry in read_jsonl_cache(cache_path):
-                self._cache[entry["key"]] = entry["vector"]
 
     def _http_transport(self, payload: dict) -> list[list[float]]:
         import requests
@@ -191,35 +185,33 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         self._check(texts)
-        keys = [format(fnv1a64(t), "016x") for t in texts]
-        missing = [(i, t) for i, (k, t) in enumerate(zip(keys, texts))
-                   if k not in self._cache]
+        reqs = [PromptRequest("EMB", t, self.model) for t in texts]
+        keys = [req.cache_key() for req in reqs]
+        missing = {key: req for key, req in zip(keys, reqs)
+                   if self.cache.get(key) is None}
         if missing:
             try:
-                vectors = self._transport({"model": self.model,
-                                           "input": [t for _, t in missing]})
+                vectors = self._transport(
+                    {"model": self.model,
+                     "input": [req.filled_prompt for req in missing.values()]})
             except ProviderError:
                 raise
             except Exception as exc:  # transport failures wrapped
                 raise ProviderError(f"embedding transport failed: {exc}") from exc
             if len(vectors) != len(missing):
                 raise ProviderError("embedding endpoint returned wrong batch size")
-            with self._lock:
-                for (i, _), vec in zip(missing, vectors):
-                    if len(vec) != self.dimension:
-                        raise DimensionMismatchError(
-                            f"backend returned d={len(vec)}, expected {self.dimension}")
-                    self._cache[keys[i]] = [float(x) for x in vec]
-                    if self.cache_path:
-                        with open(self.cache_path, "a", encoding="utf-8") as fh:
-                            fh.write(json.dumps({"key": keys[i],
-                                                 "vector": self._cache[keys[i]]}) + "\n")
+            for vec in vectors:
+                if len(vec) != self.dimension:
+                    raise DimensionMismatchError(
+                        f"backend returned d={len(vec)}, expected {self.dimension}")
+            for req, vec in zip(missing.values(), vectors):
+                self.cache.put(req, [float(x) for x in vec])
         out = []
-        for k in keys:
-            vec = np.asarray(self._cache[k], dtype=np.float64)
-            if vec.shape[0] != self.dimension:
+        for key in keys:
+            vec = np.asarray(self.cache.get(key), dtype=np.float64)
+            if vec.shape != (self.dimension,):
                 raise DimensionMismatchError(
-                    f"cached d={vec.shape[0]}, expected {self.dimension}")
+                    f"cached shape {vec.shape}, expected ({self.dimension},)")
             out.append(vec)
         return out
 
@@ -232,6 +224,8 @@ _PROVIDERS = {
 
 def make_provider(name: str, dimension: int, **kwargs) -> EmbeddingProvider:
     if name == "remote":
+        if not kwargs.get("model"):
+            raise ProviderError("the remote embedding provider needs model=")
         return RemoteEmbeddingProvider(dimension=dimension, **kwargs)
     if name in _PROVIDERS:
         return _PROVIDERS[name](dimension=dimension)

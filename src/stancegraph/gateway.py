@@ -7,7 +7,8 @@ Modes:
 
 Cache format: one JSON object per line {key, template_id, model, temperature,
 prompt, response, created_at}, so caches diff cleanly and merge by
-concatenation.
+concatenation. The remote embedding provider keeps its vectors in the same
+format (template id "EMB", the vector as the response).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import (CacheFormatError, CacheMissError, EmptyFieldError,
                      GatewayConfigError, HttpError, TransportTimeoutError)
@@ -40,7 +41,7 @@ DEFAULT_P2_MAX_LINES = 50
 
 @dataclass(frozen=True)
 class PromptRequest:
-    template_id: str          # "P1" | "P2"
+    template_id: str          # "P1" | "P2" | "EMB" (embeddings)
     filled_prompt: str
     model_id: str = "default-model"
     temperature: float = 0.0
@@ -78,10 +79,11 @@ def render_p2(predicate_strings: list[str], model_id: str = "default-model",
     return req
 
 
-def read_jsonl_cache(path: str) -> Iterator[dict]:
-    """The entries of an append-only JSONL cache, in file order. A torn or
-    undecodable line (say, the tail of an interrupted write) raises
-    CacheFormatError naming the path and the line number."""
+def read_jsonl_cache(path: str) -> Iterator[tuple[int, Any]]:
+    """(line number, decoded value) for each non-blank line of a JSONL file,
+    in file order. A torn or undecodable line (say, the tail of an
+    interrupted write) raises CacheFormatError naming the path and the line
+    number."""
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
@@ -90,26 +92,32 @@ def read_jsonl_cache(path: str) -> Iterator[dict]:
                 entry = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise CacheFormatError(path, number, exc) from exc
-            yield entry
+            yield number, entry
 
 
 class _DiskCache:
     """Append-only newline-JSON cache. Writes are serialized by a lock and
     emitted as single write() calls, so concurrent writers never corrupt
-    existing entries."""
+    existing entries. A response is any JSON value: completion text for the
+    gateway, a vector for the remote embedding provider."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        self._entries: dict[str, str] = {}
+        self._entries: dict[str, Any] = {}
         if os.path.exists(path):
-            for entry in read_jsonl_cache(path):
-                self._entries[entry["key"]] = entry["response"]
+            for number, entry in read_jsonl_cache(path):
+                try:
+                    self._entries[entry["key"]] = entry["response"]
+                except (KeyError, TypeError) as exc:
+                    raise CacheFormatError(
+                        path, number,
+                        "expected an object with 'key' and 'response'") from exc
 
-    def get(self, key: str) -> Optional[str]:
+    def get(self, key: str) -> Any:
         return self._entries.get(key)
 
-    def put(self, req: PromptRequest, response: str) -> None:
+    def put(self, req: PromptRequest, response: Any) -> None:
         record = {
             "key": req.cache_key(),
             "template_id": req.template_id,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .embed import EmbeddingProvider
 from .errors import (EmptyCorpusError, InvalidFilterCountError, InvalidKError,
-                     SchemaFormatError, SingleClusterError,
+                     SchemaFormatError, SingleClusterError, StanceGraphError,
                      UnassignedPredicateError)
 from .fol import FolGraph, Relation
 from .gateway import Gateway, render_p2
@@ -292,7 +292,7 @@ def _summarize(members: list[str], gateway: Optional[Gateway],
                             model_id=model_id, max_lines=p2_max_lines)
             parts.append(gateway.complete(req).strip())
         return " ".join(p for p in parts if p), False
-    except Exception:
+    except StanceGraphError:
         return "", True
 
 

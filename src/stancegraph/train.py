@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -14,6 +13,7 @@ from .config import RunConfig
 from .errors import (BadHeaderError, BadLabelError, EmptySetError,
                      LengthMismatchError, NonFiniteLossError)
 from .fol import FolGraph
+from .gateway import read_jsonl_cache
 from .kernel import (Model, backward, clone_model, cross_entropy, forward)
 
 LABEL_SETS = {
@@ -56,22 +56,18 @@ def load_dataset(path: str, label_set: list[str]) -> list[LabeledExample]:
 
 
 def load_graph_records(path: str, label_set: list[str]) -> list[LabeledExample]:
-    """Newline-JSON records produced by the generate-fol stage."""
+    """Newline-JSON records produced by the generate-fol stage. A torn line
+    raises CacheFormatError naming the path and the line number."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for row_idx, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            label = record["label"]
-            if label not in label_set:
-                raise BadLabelError(row_idx, label)
-            examples.append(LabeledExample(
-                text=record["text"], target=record["target"], label=label,
-                rationale=record.get("rationale", ""),
-                graph=FolGraph.from_dict(record["graph"]),
-                llm_stance=record.get("llm_stance")))
+    for row_idx, record in read_jsonl_cache(path):
+        label = record["label"]
+        if label not in label_set:
+            raise BadLabelError(row_idx, label)
+        examples.append(LabeledExample(
+            text=record["text"], target=record["target"], label=label,
+            rationale=record.get("rationale", ""),
+            graph=FolGraph.from_dict(record["graph"]),
+            llm_stance=record.get("llm_stance")))
     return examples
 
 
@@ -293,11 +289,3 @@ def evaluate(test_set: list[LabeledExample], model: Model,
         "per_target": per_target,
         "predictions": predictions,
     }
-
-
-def trial_summary(scores: list[float]) -> dict:
-    arr = np.asarray(scores, dtype=np.float64)
-    return {"trials": len(scores),
-            "scores": [float(s) for s in arr],
-            "mean": float(arr.mean()),
-            "std": float(arr.std())}

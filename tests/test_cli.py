@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -193,6 +194,32 @@ class TestErrorPaths:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{path}: line 4" in result.output
+
+    def test_predict_on_wrong_shape_cache_fails_without_traceback(
+            self, pipeline, config_path, tmp_path):
+        path = tmp_path / "llm_cache.jsonl"
+        path.write_text('{"key": "a", "vector": [1.0, 0.0]}\n')
+        result = CliRunner().invoke(main, [
+            "predict", "--config", config_path, "--mode", "replay",
+            "--cache-dir", str(tmp_path), "some text", "some target",
+            pipeline["checkpoint"]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"{path}: line 1" in result.output
+
+    def test_induce_reports_p2_fallbacks(self, pipeline, config_path,
+                                         tmp_path):
+        library = tmp_path / "library.json"
+        result = _run(["induce", "--config", config_path, "--mode", "replay",
+                       "--cache-dir", str(DATA_DIR), "--k", "5",
+                       pipeline["all_graphs"], str(library)])
+        assert result.exit_code == 0, result.output
+        nodes = json.loads(library.read_text(encoding="utf-8"))["nodes"]
+        fallbacks = sum(node["fallback"] for node in nodes)
+        assert fallbacks > 0
+        match = re.search(r"P2 fallbacks: (\d+) of 5 ", result.stderr)
+        assert match and int(match.group(1)) == fallbacks, result.stderr
+        assert "P2 fallbacks" not in result.stdout
 
     def test_induce_passes_p2_max_lines(self, pipeline, config_path,
                                         monkeypatch, tmp_path):

@@ -1,5 +1,7 @@
 """Deterministic embedding providers and cosine similarity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -81,14 +83,91 @@ class TestProviders:
     def test_make_provider_names(self):
         assert isinstance(make_provider("hash", 8), HashEmbeddingProvider)
         assert isinstance(make_provider("token-average", 8), TokenAverageProvider)
-        with pytest.raises(Exception):
+        with pytest.raises(ProviderError):
             make_provider("no-such-provider", 8)
+
+    def test_remote_without_model_names_the_argument(self):
+        with pytest.raises(ProviderError, match="model="):
+            make_provider("remote", 8)
+
+
+class FakeEmbeddings:
+    """Embedding transport that returns a fixed vector per text and logs
+    each request's inputs."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.calls = []
+
+    def __call__(self, payload):
+        self.calls.append(payload["input"])
+        return [self.vectors[text] for text in payload["input"]]
+
+
+def _refuse(payload):
+    raise AssertionError("transport called on a cached text")
 
 
 class TestRemoteCache:
+    def _provider(self, path, transport, model="m", dimension=2):
+        return RemoteEmbeddingProvider(dimension=dimension, model=model,
+                                       cache_path=str(path),
+                                       transport=transport)
+
+    def test_second_provider_replays_without_a_call(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        fake = FakeEmbeddings({"a": [1.0, 0.0], "b": [0.6, 0.8]})
+        first = self._provider(path, fake).embed_batch(["a", "b", "a"])
+        assert fake.calls == [["a", "b"]]
+        second = self._provider(path, _refuse).embed_batch(["a", "b", "a"])
+        assert len(second) == 3
+        for old, new in zip(first, second):
+            assert np.array_equal(old, new)
+
+    def test_another_model_is_a_cache_miss(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        self._provider(path, FakeEmbeddings({"a": [1.0, 0.0]}),
+                       model="m1").embed_batch(["a"])
+        fake = FakeEmbeddings({"a": [0.0, 1.0]})
+        out = self._provider(path, fake, model="m2").embed_batch(["a"])
+        assert fake.calls == [["a"]]
+        assert np.array_equal(out[0], [0.0, 1.0])
+
+    def test_records_use_the_gateway_format(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        self._provider(path, FakeEmbeddings({"a": [1.0, 0.0]})).embed_batch(["a"])
+        record = json.loads(path.read_text())
+        assert set(record) == {"key", "template_id", "model", "temperature",
+                               "prompt", "response", "created_at"}
+        assert (record["template_id"], record["model"], record["prompt"],
+                record["response"]) == ("EMB", "m", "a", [1.0, 0.0])
+
+    def test_wrong_batch_size(self, tmp_path):
+        provider = self._provider(tmp_path / "e.jsonl",
+                                  lambda payload: [[1.0, 0.0]])
+        with pytest.raises(ProviderError, match="batch size"):
+            provider.embed_batch(["a", "b"])
+
+    def test_wrong_dimension_caches_nothing(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        provider = self._provider(path, FakeEmbeddings({"a": [1.0, 0.0],
+                                                        "b": [1.0, 0.0, 0.0]}))
+        with pytest.raises(DimensionMismatchError):
+            provider.embed_batch(["a", "b"])
+        assert not path.exists()
+
+    def test_old_text_keyed_cache_is_refused(self, tmp_path):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_text('{"key": "a", "vector": [1.0, 0.0]}\n')
+        with pytest.raises(CacheFormatError, match="line 1") as info:
+            self._provider(path, _refuse)
+        assert str(path) in str(info.value)
+
     def test_torn_last_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "embeddings.jsonl"
-        path.write_text('{"key": "a", "vector": [1.0, 0.0]}\n'
+        path.write_text('{"key": "a", "template_id": "EMB", "model": "m", '
+                        '"temperature": 0.0, "prompt": "a", '
+                        '"response": [1.0, 0.0], "created_at": 0.0}\n'
                         '{"key": "b", "vector": [0.0, 1.')
         with pytest.raises(CacheFormatError, match="line 2") as info:
             RemoteEmbeddingProvider(dimension=2, model="m",

@@ -1,11 +1,13 @@
 """Prompt rendering and the record/replay completion gateway."""
 
+import json
+
 import pytest
 
 from stancegraph.errors import (CacheFormatError, CacheMissError,
                                 EmptyFieldError, GatewayConfigError, HttpError)
 from stancegraph.gateway import (Gateway, PromptRequest, render_p1, render_p2)
-from tests.conftest import torn_cache
+from tests.conftest import CACHE_PATH, torn_cache
 
 
 class TestRenderP1:
@@ -114,6 +116,14 @@ class TestGatewayModes:
         assert g2.complete(req) == first
         assert counter["n"] == 1
 
+    def test_record_line_has_the_fixture_cache_fields(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        Gateway(mode="record", cache_path=str(path),
+                transport=lambda r: "x").complete(render_p1("a", "b"))
+        with open(CACHE_PATH, encoding="utf-8") as fh:
+            fixture = json.loads(next(fh))
+        assert list(json.loads(path.read_text())) == list(fixture)
+
     def test_retries_then_succeeds(self, tmp_path):
         attempts = {"n": 0}
 
@@ -151,3 +161,12 @@ class TestCacheFormat:
         with pytest.raises(CacheFormatError, match="line 4") as info:
             Gateway(mode="replay", cache_path=path)
         assert path in str(info.value)
+
+    @pytest.mark.parametrize("line", ['{}', '[1, 2]', '"text"',
+                                      '{"key": "a", "vector": [1.0, 0.0]}'])
+    def test_wrong_shape_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "llm_cache.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CacheFormatError, match="line 1") as info:
+            Gateway(mode="replay", cache_path=str(path))
+        assert str(path) in str(info.value)

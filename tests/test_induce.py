@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from stancegraph.embed import test_embed as embed_text
-from stancegraph.errors import (EmptyCorpusError, InvalidFilterCountError,
-                                SchemaFormatError, SingleClusterError)
+from stancegraph.errors import (EmptyCorpusError, HttpError,
+                                InvalidFilterCountError, SchemaFormatError,
+                                SingleClusterError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph import induce
 from stancegraph.gateway import Gateway
@@ -176,7 +177,7 @@ class TestAbstractClusters:
 
     def test_p2_failure_falls_back_to_nearest_member(self, tmp_path, provider):
         def broken(req):
-            raise RuntimeError("no summarizer")
+            raise HttpError("chat endpoint returned 503", status=503)
 
         pool, result = self._fixture()
         gateway = Gateway(mode="live", cache_path=str(tmp_path / "c.jsonl"),
@@ -184,6 +185,16 @@ class TestAbstractClusters:
         nodes = abstract_clusters(result, pool, gateway, provider)
         assert nodes[0].fallback
         assert nodes[0].summary in {"Lower(Y,Harm)", "Reduce(X,Risk)"}
+
+    def test_programming_error_in_p2_propagates(self, tmp_path, provider):
+        def buggy(req):
+            raise RuntimeError("bug in the transport")
+
+        pool, result = self._fixture()
+        gateway = Gateway(mode="live", cache_path=str(tmp_path / "c.jsonl"),
+                          transport=buggy, max_retries=1, backoff=0.0)
+        with pytest.raises(RuntimeError, match="bug in the transport"):
+            abstract_clusters(result, pool, gateway, provider)
 
     def test_replay_reproducible(self, tmp_path, provider):
         pool, result = self._fixture()

@@ -9,12 +9,12 @@ import importlib
 
 train_mod = importlib.import_module("stancegraph.train")
 from stancegraph.embed import test_embed as embed_text
-from stancegraph.errors import (BadHeaderError, BadLabelError, EmptySetError)
+from stancegraph.errors import (BadHeaderError, BadLabelError,
+                                CacheFormatError, EmptySetError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import build_model
 from stancegraph.train import (AdamW, LabeledExample, evaluate, load_dataset,
-                               load_graph_records, macro_f1, train,
-                               trial_summary)
+                               load_graph_records, macro_f1, train)
 from tests.conftest import base_config
 
 LABELS = ["Favor", "Against", "None"]
@@ -64,6 +64,16 @@ class TestLoadDataset:
         examples = load_graph_records(str(path), LABELS)
         assert len(examples) == 1
         assert examples[0].graph.nodes[0].canonical() == "A(x)"
+
+    def test_torn_graph_record_names_path_and_line(self, tmp_path):
+        record = {"text": "a", "target": "t", "label": "Favor",
+                  "graph": {"nodes": [], "edges": []}}
+        line = json.dumps(record)
+        path = tmp_path / "graphs.jsonl"
+        path.write_text(line + "\n\n" + line[:30])
+        with pytest.raises(CacheFormatError, match="line 3") as info:
+            load_graph_records(str(path), LABELS)
+        assert str(path) in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +230,3 @@ class TestEvaluate:
         model, _ = _toy_model()
         with pytest.raises(EmptySetError):
             evaluate([], model)
-
-
-def test_trial_summary():
-    summary = trial_summary([0.5, 0.7, 0.9])
-    assert summary["trials"] == 3
-    assert summary["mean"] == pytest.approx(0.7)
-    assert summary["std"] == pytest.approx(np.std([0.5, 0.7, 0.9]))
