@@ -6,7 +6,8 @@ Two offline providers are fully deterministic and platform-stable:
   splitmix64 stream; d standard normals via Box-Muller; L2-normalized.
 * TokenAverageProvider: mean of hash embeddings of the word tokens, then
   L2-normalized, so texts sharing tokens land near each other. Used by the
-  synthetic pipeline where clustering needs locality.
+  synthetic pipeline where clustering needs locality. Each instance memoises
+  its token vectors in a bounded dict.
 
 The remote provider speaks the common POST /embeddings JSON shape and records
 its vectors in the gateway's JSONL cache, keyed by text and model.
@@ -36,33 +37,39 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    z = z ^ (z >> 31)
-    return z, state
+_GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
+_TWO64 = 2.0**64
+_TWO_PI = 2.0 * math.pi
+
+
+def _splitmix64_stream(seed: int, count: int) -> list[int]:
+    """The first `count` outputs of splitmix64 seeded with `seed`, as Python
+    ints. The state after k steps is seed + k * golden (mod 2**64), so the
+    whole stream is one uint64 array expression; array arithmetic wraps
+    mod 2**64 without a warning."""
+    z = np.uint64(seed) + _GOLDEN64 * np.arange(1, count + 1, dtype=np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z.tolist()
 
 
 def _normals(seed: int, count: int) -> np.ndarray:
-    """Counter-based standard normals: splitmix64 uniforms + Box-Muller."""
-    state = seed
-    out = np.empty(count, dtype=np.float64)
-    i = 0
-    while i < count:
-        u1, state = _splitmix64(state)
-        u2, state = _splitmix64(state)
-        # map to (0,1]; u1 must avoid 0 for the log
-        f1 = (u1 + 1) / 2.0**64
-        f2 = u2 / 2.0**64
-        r = math.sqrt(-2.0 * math.log(f1))
-        out[i] = r * math.cos(2.0 * math.pi * f2)
-        i += 1
-        if i < count:
-            out[i] = r * math.sin(2.0 * math.pi * f2)
-            i += 1
-    return out
+    """Counter-based standard normals: splitmix64 uniforms + Box-Muller.
+
+    Box-Muller stays on math.log/cos/sin per element: numpy's vectorised
+    transcendentals differ from them in the last bit on some inputs, which
+    would move every embedding."""
+    stream = _splitmix64_stream(seed, 2 * ((count + 1) // 2))
+    out = []
+    for u1, u2 in zip(stream[0::2], stream[1::2]):
+        # map to (0,1]; u1 must avoid 0 for the log. The +1 is on Python
+        # ints: in uint64 it wraps 2**64 - 1 to 0.
+        r = math.sqrt(-2.0 * math.log((u1 + 1) / _TWO64))
+        theta = _TWO_PI * (u2 / _TWO64)
+        out.append(r * math.cos(theta))
+        out.append(r * math.sin(theta))
+    return np.array(out[:count], dtype=np.float64)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -124,14 +131,34 @@ def test_embed(text: str, dimension: int = 384) -> np.ndarray:
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
 
+# Bound on the float64 elements a TokenAverageProvider keeps in its token
+# memo: 2**20 elements, 8 MB (2,730 tokens at d=384).
+_MEMO_ELEMENTS = 1 << 20
+
 
 class TokenAverageProvider(EmbeddingProvider):
-    """Mean of per-token hash embeddings, so shared words pull texts together."""
+    """Mean of per-token hash embeddings, so shared words pull texts together.
+
+    Token vectors are memoised on the instance, up to _MEMO_ELEMENTS float64
+    elements; once the memo is full, new tokens are computed but not stored.
+    The memo lives on the instance, not the module, so each process or CLI
+    command starts cold. Stored vectors are read-only and only ever summed
+    into a fresh array, so results are bit-identical to recomputing."""
 
     name = "token-average"
 
     def __init__(self, dimension: int = 384):
         self.dimension = dimension
+        self._memo: dict[str, np.ndarray] = {}
+
+    def _token_vector(self, token: str) -> np.ndarray:
+        vec = self._memo.get(token)
+        if vec is None:
+            vec = test_embed(token, self.dimension)
+            if (len(self._memo) + 1) * self.dimension <= _MEMO_ELEMENTS:
+                vec.flags.writeable = False
+                self._memo[token] = vec
+        return vec
 
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         self._check(texts)
@@ -143,7 +170,7 @@ class TokenAverageProvider(EmbeddingProvider):
                 continue
             acc = np.zeros(self.dimension, dtype=np.float64)
             for tok in tokens:
-                acc += test_embed(tok, self.dimension)
+                acc += self._token_vector(tok)
             norm = float(np.linalg.norm(acc))
             if norm == 0.0:
                 acc[0] = 1.0

@@ -159,6 +159,9 @@ def http_chat_transport(base_url: Optional[str] = None,
             )
         except requests.Timeout as exc:
             raise TransportTimeoutError(str(exc)) from exc
+        except requests.ConnectionError as exc:  # refused, reset, DNS
+            raise HttpError(f"chat endpoint unreachable: {exc}",
+                            status=None) from exc
         if resp.status_code != 200:
             raise HttpError(f"chat endpoint returned {resp.status_code}",
                             status=resp.status_code)

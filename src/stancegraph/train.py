@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from .config import RunConfig
-from .errors import (BadHeaderError, BadLabelError, EmptySetError,
-                     LengthMismatchError, NonFiniteLossError)
+from .errors import (BadHeaderError, BadLabelError, CacheFormatError,
+                     EmptySetError, LengthMismatchError, NonFiniteLossError)
 from .fol import FolGraph
 from .gateway import read_jsonl_cache
 from .kernel import (Model, backward, clone_model, cross_entropy, forward)
@@ -56,18 +56,24 @@ def load_dataset(path: str, label_set: list[str]) -> list[LabeledExample]:
 
 
 def load_graph_records(path: str, label_set: list[str]) -> list[LabeledExample]:
-    """Newline-JSON records produced by the generate-fol stage. A torn line
-    raises CacheFormatError naming the path and the line number."""
+    """Newline-JSON records produced by the generate-fol stage. A torn line,
+    or one that is not a record object with every field, raises
+    CacheFormatError naming the path and the line number."""
     examples = []
     for row_idx, record in read_jsonl_cache(path):
-        label = record["label"]
+        try:
+            label = record["label"]
+            example = LabeledExample(
+                text=record["text"], target=record["target"], label=label,
+                rationale=record.get("rationale", ""),
+                graph=FolGraph.from_dict(record["graph"]),
+                llm_stance=record.get("llm_stance"))
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise CacheFormatError(path, row_idx,
+                                   f"not a graph record: {exc!r}") from exc
         if label not in label_set:
             raise BadLabelError(row_idx, label)
-        examples.append(LabeledExample(
-            text=record["text"], target=record["target"], label=label,
-            rationale=record.get("rationale", ""),
-            graph=FolGraph.from_dict(record["graph"]),
-            llm_stance=record.get("llm_stance")))
+        examples.append(example)
     return examples
 
 

@@ -1,6 +1,12 @@
 """Reference computations the tests compare the package against."""
 
+import math
+
 import numpy as np
+
+from stancegraph.embed import fnv1a64
+
+_MASK64 = (1 << 64) - 1
 
 
 def explicit_kernel_oracle(sub_adj: np.ndarray, sub_feat: np.ndarray,
@@ -54,3 +60,44 @@ def loop_silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
             continue
         scores[i] = (b - a) / (a + b)
     return float(scores.mean())
+
+
+def scalar_splitmix64(state: int) -> tuple[int, int]:
+    """One splitmix64 step on Python ints: (output, next state)."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = z ^ (z >> 31)
+    return z, state
+
+
+def scalar_normals(seed: int, count: int) -> np.ndarray:
+    """Counter-based standard normals, one splitmix64 step and one Box-Muller
+    half at a time."""
+    state = seed
+    out = np.empty(count, dtype=np.float64)
+    i = 0
+    while i < count:
+        u1, state = scalar_splitmix64(state)
+        u2, state = scalar_splitmix64(state)
+        # map to (0,1]; u1 must avoid 0 for the log
+        f1 = (u1 + 1) / 2.0**64
+        f2 = u2 / 2.0**64
+        r = math.sqrt(-2.0 * math.log(f1))
+        out[i] = r * math.cos(2.0 * math.pi * f2)
+        i += 1
+        if i < count:
+            out[i] = r * math.sin(2.0 * math.pi * f2)
+            i += 1
+    return out
+
+
+def scalar_embed(text: str, dimension: int) -> np.ndarray:
+    """test_embed on top of scalar_normals."""
+    vec = scalar_normals(fnv1a64(text), dimension)
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        norm = 1.0
+    return vec / norm

@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stancegraph import embed
 from stancegraph.embed import (HashEmbeddingProvider, RemoteEmbeddingProvider,
                                TokenAverageProvider, cosine, make_provider)
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (CacheFormatError, DimensionMismatchError,
                                 ProviderError, ZeroVectorError)
+from tests.oracle import scalar_embed, scalar_normals
 
 
 class TestTestEmbed:
@@ -31,6 +35,46 @@ class TestTestEmbed:
 
     def test_float64(self):
         assert embed_text("x").dtype == np.float64
+
+
+# Any text without surrogates, plus text drawn only from outside the Basic
+# Multilingual Plane (four UTF-8 bytes per character).
+TEXTS = st.text(min_size=1, max_size=16) | st.text(
+    st.characters(min_codepoint=0x10000), min_size=1, max_size=6)
+DIMENSIONS = st.sampled_from([1, 2, 3, 47, 48, 383, 384]) | st.integers(1, 64)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=TEXTS, dimension=DIMENSIONS)
+def test_embedding_matches_scalar_oracle(text, dimension):
+    assert np.array_equal(embed_text(text, dimension),
+                          scalar_embed(text, dimension))
+
+
+def _seed_whose_first_draw_is(u1: int) -> int:
+    """Invert splitmix64's output mix, then step the state back once."""
+    mask = (1 << 64) - 1
+
+    def unxorshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unxorshift(u1, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    z = unxorshift(z, 30)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+@pytest.mark.parametrize("u1", [(1 << 64) - 1, (1 << 64) - 2, 0, 1 << 63,
+                                (1 << 53) + 1])
+def test_normals_at_extreme_uniforms(u1):
+    seed = _seed_whose_first_draw_is(u1)
+    assert embed._splitmix64_stream(seed, 1) == [u1]
+    assert np.array_equal(embed._normals(seed, 5), scalar_normals(seed, 5))
 
 
 class TestCosine:
@@ -89,6 +133,66 @@ class TestProviders:
     def test_remote_without_model_names_the_argument(self):
         with pytest.raises(ProviderError, match="model="):
             make_provider("remote", 8)
+
+
+def _token_average_oracle(text, dimension):
+    acc = np.zeros(dimension, dtype=np.float64)
+    for tok in embed._TOKEN_RE.findall(text.lower()):
+        acc += scalar_embed(tok, dimension)
+    return acc / float(np.linalg.norm(acc))
+
+
+MEMO_TEXTS = ["Reduce(Topic0,Risk)", "Reduce(Topic1,Risk)", "¬Safe(Policy)",
+              "risk RISK Risk", "Mention(Topic5,History)", "Ωmega(𝒳, Risk)",
+              "Reduce(Topic0,Risk)", "¬()"]
+
+
+class TestTokenMemo:
+    def test_one_provider_matches_a_fresh_provider_per_text(self):
+        provider = TokenAverageProvider(48)
+        shared = provider.embed_batch(MEMO_TEXTS[:3]) + \
+            provider.embed_batch(MEMO_TEXTS[3:])
+        fresh = [TokenAverageProvider(48).embed_batch([t])[0]
+                 for t in MEMO_TEXTS]
+        assert [v.tobytes() for v in shared] == [v.tobytes() for v in fresh]
+        for text, vec in zip(MEMO_TEXTS[:-1], shared):
+            assert np.array_equal(vec, _token_average_oracle(text, 48))
+        assert np.array_equal(shared[-1], scalar_embed("¬()", 48))
+
+    def test_instances_share_no_state(self):
+        first, second = TokenAverageProvider(8), TokenAverageProvider(16)
+        first.embed_batch(["alpha beta"])
+        assert set(first._memo) == {"alpha", "beta"}
+        assert second._memo == {}
+        assert second.embed_batch(["alpha"])[0].shape == (16,)
+        assert set(first._memo) == {"alpha", "beta"}
+        assert second._memo["alpha"].shape == (16,)
+
+    def test_changing_a_result_changes_no_later_result(self):
+        provider = TokenAverageProvider(16)
+        out = provider.embed_batch(["alpha", "alpha beta", "zz"])
+        expected = [v.copy() for v in out]
+        for vec in out:
+            vec *= -3.0
+        again = provider.embed_batch(["alpha", "alpha beta", "zz"])
+        assert all(np.array_equal(a, b) for a, b in zip(again, expected))
+        for vec in provider._memo.values():
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+
+    @pytest.mark.parametrize("tokens_kept", [0, 1, 3, 7])
+    def test_memo_stays_under_its_bound(self, monkeypatch, tokens_kept):
+        dimension = 16
+        cap = tokens_kept * dimension + dimension // 2
+        expected = [TokenAverageProvider(dimension).embed_batch([t])[0]
+                    for t in MEMO_TEXTS]
+        monkeypatch.setattr(embed, "_MEMO_ELEMENTS", cap)
+        provider = TokenAverageProvider(dimension)
+        for text, want in zip(MEMO_TEXTS * 2, expected * 2):
+            got = provider.embed_batch([text])[0]
+            assert len(provider._memo) * dimension <= cap
+            assert got.tobytes() == want.tobytes()
+        assert len(provider._memo) == tokens_kept
 
 
 class FakeEmbeddings:

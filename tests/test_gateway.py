@@ -6,7 +6,8 @@ import pytest
 
 from stancegraph.errors import (CacheFormatError, CacheMissError,
                                 EmptyFieldError, GatewayConfigError, HttpError)
-from stancegraph.gateway import (Gateway, PromptRequest, render_p1, render_p2)
+from stancegraph.gateway import (Gateway, PromptRequest, http_chat_transport,
+                                 render_p1, render_p2)
 from tests.conftest import CACHE_PATH, torn_cache
 
 
@@ -152,6 +153,26 @@ class TestGatewayModes:
                           transport=broken, max_retries=2, backoff=0.0)
         with pytest.raises(HttpError):
             gateway.complete(render_p1("a", "b"))
+
+
+    def test_refused_connection_is_retried_as_http_error(self, tmp_path,
+                                                         monkeypatch):
+        import requests
+
+        attempts = []
+
+        def refuse(url, **kwargs):
+            attempts.append(url)
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", refuse)
+        gateway = Gateway(mode="live", cache_path=str(tmp_path / "c.jsonl"),
+                          transport=http_chat_transport("http://127.0.0.1:9"),
+                          max_retries=3, backoff=0.0)
+        with pytest.raises(HttpError, match="unreachable") as info:
+            gateway.complete(render_p1("a", "b"))
+        assert (info.value.status, info.value.retries) == (None, 3)
+        assert attempts == ["http://127.0.0.1:9/chat/completions"] * 3
 
 
 class TestCacheFormat:

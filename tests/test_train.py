@@ -75,6 +75,24 @@ class TestLoadDataset:
             load_graph_records(str(path), LABELS)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("bad", [
+        {"text": "a", "target": "t"},
+        {"text": "a", "target": "t", "label": "Favor"},
+        {"text": "a", "target": "t", "label": "Favor", "graph": {"edges": []}},
+        {"text": "a", "target": "t", "label": "Favor", "graph": []},
+        [1, 2],
+        "a string",
+        None,
+    ])
+    def test_record_of_the_wrong_shape_names_path_and_line(self, tmp_path, bad):
+        good = {"text": "a", "target": "t", "label": "Favor",
+                "graph": {"nodes": [], "edges": []}}
+        path = tmp_path / "graphs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(CacheFormatError, match="line 2") as info:
+            load_graph_records(str(path), LABELS)
+        assert str(path) in str(info.value)
+
 
 # ---------------------------------------------------------------------------
 # Optimizer
