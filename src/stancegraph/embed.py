@@ -94,9 +94,6 @@ class EmbeddingProvider:
     def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
         raise NotImplementedError
 
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
-
     def _check(self, texts: list[str]) -> None:
         if not texts:
             raise ProviderError("embed_batch requires a non-empty batch")

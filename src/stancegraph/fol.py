@@ -10,9 +10,13 @@ The accepted line grammar (lowest precedence first):
     pred    := NAME [ '(' args ')' ]
 
 Connective surface forms: {∧ & AND}, {∨ | OR}, {¬ ~ NOT}, {→ -> implies IMPLIES}.
-Quantifier tokens (∀/∃ plus their bound variable) are stripped before parsing.
+A quantifier (∀ or ∃) is dropped together with the one name that follows it,
+its bound variable. A NAME is a run of characters that are neither
+whitespace nor one of ()∧∨¬→&|~, and that does not contain '->'.
 Arguments are free strings: anything up to a top-level comma or the closing
 paren, with inner whitespace collapsed; nested balanced parens stay verbatim.
+At most MAX_NESTING '(' and NOT may be open at once; a deeper line is a
+ParseError, which keeps the recursive parser well inside Python's stack.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import EmptyGraphError, ParseError
 
-MAX_NESTING = 500
+MAX_NESTING = 100
 
 
 class Relation(str, Enum):
@@ -41,7 +46,6 @@ class Predicate:
     name: str
     args: tuple[str, ...] = ()
     negated: bool = False
-    surface: str = field(default="", compare=False, repr=False)
 
     def canonical(self) -> str:
         sign = "¬" if self.negated else ""
@@ -62,236 +66,132 @@ def canonical_predicate_string(p: Predicate) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer and parser
 
-_AND = {"∧", "&", "AND"}
-_OR = {"∨", "|", "OR"}
-_NOT = {"¬", "~", "NOT"}
-_IMPLIES = {"→", "->", "implies", "IMPLIES"}
-_QUANTIFIERS = {"∀", "∃"}
+_NAME_CHAR = r"(?:[^\s()∧∨¬→&|~,-]|-(?!>))"
+# Skips (whitespace, or a quantifier and its variable), then one symbol or
+# name in group 1; group 1 is unset only at the end of the line.
+_LEXEME = re.compile(
+    rf"(?:\s|[∀∃]\s*{_NAME_CHAR}*)*(->|[()∧∨¬→&|~,]|{_NAME_CHAR}+)?")
+# Token kind of each symbol and word operator; any other lexeme is a name.
+_KINDS = {"(": "lparen", ")": "rparen", ",": "comma",
+          "∧": "and", "&": "and", "AND": "and",
+          "∨": "or", "|": "or", "OR": "or",
+          "¬": "not", "~": "not", "NOT": "not",
+          "→": "implies", "->": "implies", "implies": "implies",
+          "IMPLIES": "implies"}
 
-_DELIMS = set("()∧∨¬→&|~,")
-_WORD_OPS = {"AND": "and", "OR": "or", "NOT": "not",
-             "implies": "implies", "IMPLIES": "implies"}
-
-
-def _scan_name(line: str, i: int) -> int:
-    """End index of a name token starting at i (name = run of non-delimiter,
-    non-whitespace chars, stopping before an embedded '->')."""
-    n = len(line)
-    j = i
-    while j < n:
-        c = line[j]
-        if c.isspace() or c in _DELIMS or line.startswith("->", j):
-            break
-        j += 1
-    return j
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'and' 'or' 'not' 'implies' 'lparen' 'rparen' 'name' 'end'
-    text: str
-    offset: int
-
-
-def _tokenize(line: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _QUANTIFIERS:
-            i += 1
-            # drop the bound variable and an optional '.'/':' separator
-            while i < n and line[i].isspace():
-                i += 1
-            i = _scan_name(line, i)
-            while i < n and line[i] in ".:":
-                i += 1
-            continue
-        if c in "∧&":
-            tokens.append(_Token("and", c, i))
-            i += 1
-            continue
-        if c in "∨|":
-            tokens.append(_Token("or", c, i))
-            i += 1
-            continue
-        if c in "¬~":
-            tokens.append(_Token("not", c, i))
-            i += 1
-            continue
-        if c == "→":
-            tokens.append(_Token("implies", c, i))
-            i += 1
-            continue
-        if line.startswith("->", i):
-            tokens.append(_Token("implies", "->", i))
-            i += 2
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("comma", c, i))
-            i += 1
-            continue
-        j = _scan_name(line, i)
-        if j > i:
-            word = line[i:j]
-            if word in _WORD_OPS:
-                tokens.append(_Token(_WORD_OPS[word], word, i))
-            else:
-                tokens.append(_Token("name", word, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i,
-                         {"predicate", "connective", "("})
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
-# Parser
 
 class _Parser:
+    """Recursive descent with one token of lookahead, lexed on demand:
+    kind, text and offset describe the next unconsumed token, and `resume`
+    is where lexing continues after it."""
+
     def __init__(self, line: str):
         self.line = line
-        self.tokens = _tokenize(line)
-        self.pos = 0
         self.depth = 0
+        self.parse_and = partial(self.parse_nary, "and", self.parse_unary)
+        self.lex(0)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def lex(self, pos: int) -> None:
+        m = _LEXEME.match(self.line, pos)
+        self.resume = m.end()
+        self.text = m.group(1) or ""
+        if self.text:
+            self.kind = _KINDS.get(self.text, "name")
+            self.offset = m.start(1)
+        else:
+            self.kind, self.offset = "end", self.resume
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def advance(self) -> None:
+        self.lex(self.resume)
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"unexpected token {tok.text!r}", tok.offset, {kind})
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        if self.kind != kind:
+            raise ParseError(f"unexpected token {self.text!r}", self.offset, {kind})
+        self.advance()
+
+    def enter(self) -> None:
+        """Open one '(' or NOT at the lookahead token."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError("nesting too deep", self.offset)
+        self.advance()
 
     def parse(self) -> FolExpr:
         expr = self.parse_implies()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"trailing input {tok.text!r}", tok.offset, {"end"})
+        if self.kind != "end":
+            raise ParseError(f"trailing input {self.text!r}", self.offset, {"end"})
         return expr
 
     def parse_implies(self) -> FolExpr:
-        expr = self.parse_or()
-        while self.peek().kind == "implies":
+        expr = self.parse_nary("or", self.parse_and)
+        while self.kind == "implies":
             self.advance()
-            rhs = self.parse_or()
-            expr = Connective("implies", (expr, rhs))
+            expr = Connective("implies", (expr, self.parse_nary("or", self.parse_and)))
         return expr
 
-    def parse_or(self) -> FolExpr:
-        first = self.parse_and()
-        children = [first]
-        while self.peek().kind == "or":
+    def parse_nary(self, kind: str, operand: Callable[[], FolExpr]) -> FolExpr:
+        children = [operand()]
+        while self.kind == kind:
             self.advance()
-            children.append(self.parse_and())
+            children.append(operand())
         if len(children) == 1:
-            return first
-        return Connective("or", tuple(children))
-
-    def parse_and(self) -> FolExpr:
-        first = self.parse_unary()
-        children = [first]
-        while self.peek().kind == "and":
-            self.advance()
-            children.append(self.parse_unary())
-        if len(children) == 1:
-            return first
-        return Connective("and", tuple(children))
+            return children[0]
+        return Connective(kind, tuple(children))
 
     def parse_unary(self) -> FolExpr:
-        if self.peek().kind == "not":
-            self.advance()
-            child = self.parse_unary()
-            if isinstance(child, Predicate):
-                return replace(child, negated=not child.negated)
-            return Connective("not", (child,))
-        return self.parse_atom()
+        if self.kind != "not":
+            return self.parse_atom()
+        self.enter()
+        child = self.parse_unary()
+        self.depth -= 1
+        if isinstance(child, Predicate):
+            return replace(child, negated=not child.negated)
+        return Connective("not", (child,))
 
     def parse_atom(self) -> FolExpr:
-        tok = self.peek()
-        if tok.kind == "lparen":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError("nesting too deep", tok.offset, {")"})
-            self.advance()
+        if self.kind == "lparen":
+            self.enter()
             expr = self.parse_implies()
             self.expect("rparen")
             self.depth -= 1
             return expr
-        if tok.kind == "name":
-            return self.parse_predicate()
-        raise ParseError(f"unexpected token {tok.text or 'end of input'!r}",
-                         tok.offset, {"predicate", "(", "¬"})
-
-    def parse_predicate(self) -> Predicate:
-        name_tok = self.expect("name")
-        start = name_tok.offset
-        if self.peek().kind != "lparen":
-            return Predicate(name_tok.text, (), False, name_tok.text)
-        # arguments are raw text up to the matching paren; consume from the
-        # source string directly so args may contain arbitrary characters
-        open_off = self.peek().offset
-        args, end = self._scan_args(open_off)
-        # resynchronize the token stream past the argument region
-        while self.tokens[self.pos].offset < end and self.tokens[self.pos].kind != "end":
-            self.pos += 1
-        surface = self.line[start:end]
-        return Predicate(name_tok.text, tuple(args), False, surface)
-
-    def _scan_args(self, open_off: int) -> tuple[list[str], int]:
-        depth = 0
-        args: list[str] = []
-        buf: list[str] = []
-        i = open_off
-        n = len(self.line)
-        while i < n:
-            c = self.line[i]
-            if c == "(":
-                depth += 1
-                if depth > 1:
-                    buf.append(c)
-            elif c == ")":
-                depth -= 1
-                if depth == 0:
-                    arg = _normalize_arg("".join(buf))
-                    if arg or args:
-                        args.append(arg)
-                    if args and all(a == "" for a in args):
-                        args = []
-                    return args, i + 1
-                buf.append(c)
-            elif c == "," and depth == 1:
-                args.append(_normalize_arg("".join(buf)))
-                buf = []
-            else:
-                buf.append(c)
-            i += 1
-        raise ParseError("unterminated argument list", open_off, {")"})
+        if self.kind == "name":
+            name = self.text
+            self.advance()
+            if self.kind != "lparen":
+                return Predicate(name)
+            # arguments are raw text up to the matching paren, so they may
+            # hold any character; lexing resumes after that paren
+            args, end = _scan_args(self.line, self.offset)
+            self.lex(end)
+            return Predicate(name, args)
+        raise ParseError(f"unexpected token {self.text or 'end of input'!r}",
+                         self.offset, {"predicate", "(", "¬"})
 
 
-def _normalize_arg(text: str) -> str:
-    return " ".join(text.split())
+_ARG_MARK = re.compile(r"[(),]")
+
+
+def _scan_args(line: str, open_off: int) -> tuple[tuple[str, ...], int]:
+    """Arguments of the list whose '(' is at open_off, and the offset just
+    past its matching ')'. Arguments are split at top-level commas, with
+    inner whitespace collapsed; an all-empty list such as '( , )' has none."""
+    depth, start, args = 0, open_off + 1, []
+    for mark in _ARG_MARK.finditer(line, open_off):
+        c, i = mark.group(), mark.start()
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+            if depth == 0:
+                args.append(" ".join(line[start:i].split()))
+                return (tuple(args) if any(args) else ()), i + 1
+        elif depth == 1:
+            args.append(" ".join(line[start:i].split()))
+            start = i + 1
+    raise ParseError("unterminated argument list", open_off, {")"})
 
 
 def parse_fol_line(line: str) -> FolExpr:
@@ -299,8 +199,6 @@ def parse_fol_line(line: str) -> FolExpr:
 
     Raises ParseError (offset + expected-token set) on malformed input.
     """
-    if not line or not line.strip():
-        raise ParseError("empty line", 0, {"predicate", "("})
     line = line.rstrip().rstrip(".")  # LLMs often terminate lines with a period
     if not line:
         raise ParseError("empty line", 0, {"predicate", "("})

@@ -165,7 +165,15 @@ def http_chat_transport(base_url: Optional[str] = None,
         if resp.status_code != 200:
             raise HttpError(f"chat endpoint returned {resp.status_code}",
                             status=resp.status_code)
-        return resp.json()["choices"][0]["message"]["content"]
+        try:
+            content = resp.json()["choices"][0]["message"]["content"]
+        except (ValueError, LookupError, TypeError) as exc:  # not JSON, no path
+            raise HttpError(f"chat endpoint returned a malformed body: {exc!r}",
+                            status=200) from exc
+        if not isinstance(content, str):
+            raise HttpError("chat endpoint returned non-text content",
+                            status=200)
+        return content
 
     return call
 
@@ -194,10 +202,8 @@ class Gateway:
         self._transport = transport
         self.max_retries = max_retries
         self.backoff = backoff
-        self.request_count = 0
 
     def complete(self, req: PromptRequest) -> str:
-        self.request_count += 1
         if self.mode == "replay":
             cached = self.cache.get(req.cache_key())
             if cached is None:

@@ -429,8 +429,10 @@ def load_library(path: str) -> SchemaLibrary:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaFormatError(f"invalid schema library JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaFormatError("schema library is not a JSON object")
     version = doc.get("version")
     if version != LIBRARY_VERSION:
         raise SchemaFormatError(
@@ -439,20 +441,22 @@ def load_library(path: str) -> SchemaLibrary:
     for key in ("d", "seed", "nodes", "edges"):
         if key not in doc:
             raise SchemaFormatError("missing field", field=key)
-    nodes = []
-    for nd in doc["nodes"]:
-        try:
+    try:
+        nodes = []
+        for nd in doc["nodes"]:
             nodes.append(SchemaNode(
                 id=nd["id"], summary=nd["summary"],
                 centroid=np.asarray(nd["centroid"], dtype=np.float64),
                 summary_embedding=np.asarray(nd["summary_embedding"], dtype=np.float64),
                 members=list(nd["members"]), fallback=nd.get("fallback", False)))
-        except KeyError as exc:
-            raise SchemaFormatError("missing node field", field=str(exc)) from exc
-    edges = [SchemaEdge(e["src"], e["dst"], Relation(e["relation"]), e["weight"])
-             for e in doc["edges"]]
-    centroids = (np.stack([n.centroid for n in nodes])
-                 if nodes else np.zeros((0, doc["d"])))
+        edges = [SchemaEdge(e["src"], e["dst"], Relation(e["relation"]), e["weight"])
+                 for e in doc["edges"]]
+        centroids = (np.stack([n.centroid for n in nodes])
+                     if nodes else np.zeros((0, doc["d"])))
+    except KeyError as exc:
+        raise SchemaFormatError("missing node or edge field", field=str(exc)) from exc
+    except (TypeError, ValueError, AttributeError) as exc:  # wrong shape or value
+        raise SchemaFormatError(f"malformed schema library: {exc}") from exc
     clustering = ClusteringResult(
         k=len(nodes),
         assignments=np.asarray(doc.get("assignments", []), dtype=np.int64),

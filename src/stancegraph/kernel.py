@@ -34,22 +34,14 @@ from .induce import SchemaLibrary, assign_to_cluster, extract_filters
 
 CHECKPOINT_VERSION = 1
 
-DEFAULT_RELATION_WEIGHTS = {
-    Relation.IMPLIES: 1.0,
-    Relation.CONJUNCTION: 0.5,
-    Relation.DISJUNCTION: 0.5,
-    Relation.INSTANCE_OF: 1.0,
-}
-
 
 def relation_weights_from_config(cfg: RunConfig) -> dict[Relation, float]:
     return {Relation(k): float(v) for k, v in cfg.relation_weights.items()}
 
 
 def graph_adjacency(graph: FolGraph,
-                    weights: Optional[dict[Relation, float]] = None) -> np.ndarray:
+                    weights: dict[Relation, float]) -> np.ndarray:
     """Collapse the typed edge list into one weighted adjacency matrix."""
-    weights = weights or DEFAULT_RELATION_WEIGHTS
     n = len(graph.nodes)
     adj = np.zeros((n, n), dtype=np.float64)
     for src, dst, rel in graph.edges:
@@ -514,8 +506,13 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
                     force: bool = False) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaFormatError(f"invalid checkpoint JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaFormatError("checkpoint is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise SchemaFormatError(
             f"checkpoint version {doc.get('version')} != {CHECKPOINT_VERSION}",
@@ -526,27 +523,32 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
         raise FingerprintMismatchError(
             f"checkpoint was trained against library {doc['library_fingerprint']}, "
             f"got {library_fingerprint} (use --force to override)")
-    layers = []
-    for ld in doc["layers"]:
-        layers.append(KernelLayerParams(
-            filter_feats=np.asarray([f["feat"] for f in ld["filters"]], dtype=np.float64),
-            filter_adjs=np.asarray([f["adj"] for f in ld["filters"]], dtype=np.float64),
-            W=np.asarray(ld["W"], dtype=np.float64),
-            p=ld["p"], g=ld["g"], hop=ld["hop"],
-            n_sub=ld["n_sub"], n_filt=ld["n_filt"]))
-    head = doc["head"]
-    return Model(
-        layers=layers,
-        W_h=np.asarray(head["W_h"], dtype=np.float64),
-        b_h=np.asarray(head["b_h"], dtype=np.float64),
-        W_o=np.asarray(head["W_o"], dtype=np.float64),
-        b_o=np.asarray(head["b_o"], dtype=np.float64),
-        dimension=doc["dimension"], labels=list(doc["labels"]),
-        relation_weights={Relation(k): float(v)
-                          for k, v in doc["relation_weights"].items()},
-        library_fingerprint=doc.get("library_fingerprint", ""),
-        config_fingerprint=doc.get("config_fingerprint", ""),
-        seed=doc.get("seed", 0))
+    try:
+        layers = []
+        for ld in doc["layers"]:
+            layers.append(KernelLayerParams(
+                filter_feats=np.asarray([f["feat"] for f in ld["filters"]], dtype=np.float64),
+                filter_adjs=np.asarray([f["adj"] for f in ld["filters"]], dtype=np.float64),
+                W=np.asarray(ld["W"], dtype=np.float64),
+                p=ld["p"], g=ld["g"], hop=ld["hop"],
+                n_sub=ld["n_sub"], n_filt=ld["n_filt"]))
+        head = doc["head"]
+        return Model(
+            layers=layers,
+            W_h=np.asarray(head["W_h"], dtype=np.float64),
+            b_h=np.asarray(head["b_h"], dtype=np.float64),
+            W_o=np.asarray(head["W_o"], dtype=np.float64),
+            b_o=np.asarray(head["b_o"], dtype=np.float64),
+            dimension=doc["dimension"], labels=list(doc["labels"]),
+            relation_weights={Relation(k): float(v)
+                              for k, v in doc["relation_weights"].items()},
+            library_fingerprint=doc.get("library_fingerprint", ""),
+            config_fingerprint=doc.get("config_fingerprint", ""),
+            seed=doc.get("seed", 0))
+    except KeyError as exc:
+        raise SchemaFormatError("missing checkpoint field", field=str(exc)) from exc
+    except (TypeError, ValueError, AttributeError) as exc:  # wrong shape or value
+        raise SchemaFormatError(f"malformed checkpoint: {exc}") from exc
 
 
 def clone_model(model: Model) -> Model:

@@ -1,10 +1,13 @@
 """Reference computations the tests compare the package against."""
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from stancegraph.embed import fnv1a64
+from stancegraph.errors import ParseError
+from stancegraph.fol import Connective, FolExpr, Predicate
 
 _MASK64 = (1 << 64) - 1
 
@@ -101,3 +104,245 @@ def scalar_embed(text: str, dimension: int) -> np.ndarray:
         vec[0] = 1.0
         norm = 1.0
     return vec / norm
+
+
+# ---------------------------------------------------------------------------
+# FOL lines: a tokenizer that lexes the whole line up front, and a parser
+# that reads argument lists a second time from the raw string.
+
+_ORACLE_MAX_NESTING = 500
+_QUANTIFIERS = {"∀", "∃"}
+
+_DELIMS = set("()∧∨¬→&|~,")
+_WORD_OPS = {"AND": "and", "OR": "or", "NOT": "not",
+             "implies": "implies", "IMPLIES": "implies"}
+
+
+def _scan_name(line: str, i: int) -> int:
+    """End index of a name token starting at i (name = run of non-delimiter,
+    non-whitespace chars, stopping before an embedded '->')."""
+    n = len(line)
+    j = i
+    while j < n:
+        c = line[j]
+        if c.isspace() or c in _DELIMS or line.startswith("->", j):
+            break
+        j += 1
+    return j
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # 'and' 'or' 'not' 'implies' 'lparen' 'rparen' 'name' 'end'
+    text: str
+    offset: int
+
+
+def _tokenize(line: str) -> list[_Token]:
+    """Every token of the line, up front, ending with an 'end' token."""
+    tokens: list[_Token] = []
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _QUANTIFIERS:
+            i += 1
+            # drop the bound variable and an optional '.'/':' separator
+            while i < n and line[i].isspace():
+                i += 1
+            i = _scan_name(line, i)
+            while i < n and line[i] in ".:":
+                i += 1
+            continue
+        if c in "∧&":
+            tokens.append(_Token("and", c, i))
+            i += 1
+            continue
+        if c in "∨|":
+            tokens.append(_Token("or", c, i))
+            i += 1
+            continue
+        if c in "¬~":
+            tokens.append(_Token("not", c, i))
+            i += 1
+            continue
+        if c == "→":
+            tokens.append(_Token("implies", c, i))
+            i += 1
+            continue
+        if line.startswith("->", i):
+            tokens.append(_Token("implies", "->", i))
+            i += 2
+            continue
+        if c == "(":
+            tokens.append(_Token("lparen", c, i))
+            i += 1
+            continue
+        if c == ")":
+            tokens.append(_Token("rparen", c, i))
+            i += 1
+            continue
+        if c == ",":
+            tokens.append(_Token("comma", c, i))
+            i += 1
+            continue
+        j = _scan_name(line, i)
+        if j > i:
+            word = line[i:j]
+            if word in _WORD_OPS:
+                tokens.append(_Token(_WORD_OPS[word], word, i))
+            else:
+                tokens.append(_Token("name", word, i))
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", i,
+                         {"predicate", "connective", "("})
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+class OracleFolParser:
+    """Recursive descent over the token list, re-synchronised past each
+    argument list that _scan_args reads from the raw line."""
+
+    def __init__(self, line: str):
+        self.line = line
+        self.tokens = _tokenize(line)
+        self.pos = 0
+        self.depth = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"unexpected token {tok.text!r}", tok.offset, {kind})
+        return self.advance()
+
+    def parse(self) -> FolExpr:
+        expr = self.parse_implies()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ParseError(f"trailing input {tok.text!r}", tok.offset, {"end"})
+        return expr
+
+    def parse_implies(self) -> FolExpr:
+        expr = self.parse_or()
+        while self.peek().kind == "implies":
+            self.advance()
+            rhs = self.parse_or()
+            expr = Connective("implies", (expr, rhs))
+        return expr
+
+    def parse_or(self) -> FolExpr:
+        first = self.parse_and()
+        children = [first]
+        while self.peek().kind == "or":
+            self.advance()
+            children.append(self.parse_and())
+        if len(children) == 1:
+            return first
+        return Connective("or", tuple(children))
+
+    def parse_and(self) -> FolExpr:
+        first = self.parse_unary()
+        children = [first]
+        while self.peek().kind == "and":
+            self.advance()
+            children.append(self.parse_unary())
+        if len(children) == 1:
+            return first
+        return Connective("and", tuple(children))
+
+    def parse_unary(self) -> FolExpr:
+        if self.peek().kind == "not":
+            self.advance()
+            child = self.parse_unary()
+            if isinstance(child, Predicate):
+                return replace(child, negated=not child.negated)
+            return Connective("not", (child,))
+        return self.parse_atom()
+
+    def parse_atom(self) -> FolExpr:
+        tok = self.peek()
+        if tok.kind == "lparen":
+            self.depth += 1
+            if self.depth > _ORACLE_MAX_NESTING:
+                raise ParseError("nesting too deep", tok.offset, {")"})
+            self.advance()
+            expr = self.parse_implies()
+            self.expect("rparen")
+            self.depth -= 1
+            return expr
+        if tok.kind == "name":
+            return self.parse_predicate()
+        raise ParseError(f"unexpected token {tok.text or 'end of input'!r}",
+                         tok.offset, {"predicate", "(", "¬"})
+
+    def parse_predicate(self) -> Predicate:
+        name_tok = self.expect("name")
+        if self.peek().kind != "lparen":
+            return Predicate(name_tok.text, (), False)
+        # arguments are raw text up to the matching paren; consume from the
+        # source string directly so args may contain arbitrary characters
+        open_off = self.peek().offset
+        args, end = self._scan_args(open_off)
+        # resynchronize the token stream past the argument region
+        while self.tokens[self.pos].offset < end and self.tokens[self.pos].kind != "end":
+            self.pos += 1
+        return Predicate(name_tok.text, tuple(args), False)
+
+    def _scan_args(self, open_off: int) -> tuple[list[str], int]:
+        depth = 0
+        args: list[str] = []
+        buf: list[str] = []
+        i = open_off
+        n = len(self.line)
+        while i < n:
+            c = self.line[i]
+            if c == "(":
+                depth += 1
+                if depth > 1:
+                    buf.append(c)
+            elif c == ")":
+                depth -= 1
+                if depth == 0:
+                    arg = _normalize_arg("".join(buf))
+                    if arg or args:
+                        args.append(arg)
+                    if args and all(a == "" for a in args):
+                        args = []
+                    return args, i + 1
+                buf.append(c)
+            elif c == "," and depth == 1:
+                args.append(_normalize_arg("".join(buf)))
+                buf = []
+            else:
+                buf.append(c)
+            i += 1
+        raise ParseError("unterminated argument list", open_off, {")"})
+
+
+
+
+def _normalize_arg(text: str) -> str:
+    return " ".join(text.split())
+
+
+def oracle_parse_fol_line(line: str) -> FolExpr:
+    """parse_fol_line on top of the up-front tokenizer."""
+    if not line or not line.strip():
+        raise ParseError("empty line", 0, {"predicate", "("})
+    line = line.rstrip().rstrip(".")
+    if not line:
+        raise ParseError("empty line", 0, {"predicate", "("})
+    return OracleFolParser(line).parse()

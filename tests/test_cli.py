@@ -207,6 +207,20 @@ class TestErrorPaths:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"{path}: line 1" in result.output
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_torn_checkpoint_fails_without_traceback(self, pipeline, tmp_path,
+                                                     command):
+        checkpoint = tmp_path / "model.json"
+        text = open(pipeline["checkpoint"], encoding="utf-8").read()
+        checkpoint.write_text(text[: len(text) // 2])
+        inputs = (["some text", "some target"] if command == "predict"
+                  else [pipeline["test_graphs"]])
+        result = CliRunner().invoke(main, [command, *pipeline["common"],
+                                           *inputs, str(checkpoint)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "invalid checkpoint JSON" in result.output
+
     def test_induce_reports_p2_fallbacks(self, pipeline, config_path,
                                          tmp_path):
         library = tmp_path / "library.json"

@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stancegraph.embed import HashEmbeddingProvider
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import EmptyGraphError, ParseError
-from stancegraph.fol import (Connective, Predicate, Relation, build_fol_graph,
-                             canonical_predicate_string, extract_fol_block,
-                             format_expr, parse_fol_line, predicate_leaves,
-                             split_fol_lines)
+from stancegraph.fol import (MAX_NESTING, Connective, Predicate, Relation,
+                             build_fol_graph, canonical_predicate_string,
+                             extract_fol_block, format_expr, parse_fol_line,
+                             predicate_leaves, split_fol_lines)
+from stancegraph.pipeline import GenerateStats, rationale_to_graph
+from tests.oracle import oracle_parse_fol_line
 
 
 class TestExtractFolBlock:
@@ -170,3 +173,69 @@ def test_graph_round_trip_dict():
     assert clone.to_dict() == doc
     np.testing.assert_array_equal(clone.nodes[0].embedding,
                                   graph.nodes[0].embedding)
+
+
+class TestNesting:
+    def test_parens_and_negations_at_the_bound_parse(self):
+        assert MAX_NESTING == 100
+        assert parse_fol_line("(" * 100 + "A" + ")" * 100) == Predicate("A")
+        assert parse_fol_line("¬" * 100 + "A(x)") == Predicate("A", ("x",))
+        assert parse_fol_line("¬(" * 50 + "A" + ")" * 50) == Predicate("A")
+
+    @pytest.mark.parametrize("line", [
+        "(" * 10_000 + "A" + ")" * 10_000,
+        "¬" * 10_000 + "A",
+        "(¬" * 5_000 + "A" + ")" * 5_000,
+        "(" * 101 + "A" + ")" * 101,
+        "¬" * 101 + "A",
+    ])
+    def test_deeper_lines_are_parse_errors(self, line):
+        with pytest.raises(ParseError, match="^nesting too deep") as exc:
+            parse_fol_line(line)
+        assert exc.value.offset == 100
+
+    def test_too_deep_line_counts_as_unparsed(self):
+        stats = GenerateStats()
+        rationale = "(" * 10_000 + "A(x)" + ")" * 10_000 + "\nB(x) → C(x)"
+        graph = rationale_to_graph(rationale, "t", HashEmbeddingProvider(8),
+                                   stats)
+        assert graph.canonical_strings() == ["B(x)", "C(x)"]
+        assert stats.unparsed_lines == 1
+
+
+# Differential tests: the on-demand lexer against the reference parser in
+# tests/oracle.py, which tokenizes the whole line first and re-reads each
+# argument list from the raw string. Same tree, or same ParseError message,
+# offset and expected set.
+
+def _outcome(parse, line):
+    try:
+        return parse(line)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset, exc.expected)
+
+
+def _assert_same_as_oracle(line):
+    assert _outcome(parse_fol_line, line) == \
+        _outcome(oracle_parse_fol_line, line), repr(line)
+
+
+_PIECES = (list("()∧∨¬→&|~,-> .:∀∃") + ["->", "\x1c", "\x85", "\u3000", "\t"]
+           + ["A", "Pred", "x", "y1", "a-b", "p.q", "AND", "OR", "NOT",
+              "implies", "IMPLIES", "And", "ORx"]
+           + ["()", "(,)", "P( a ,b )", "Q(f(x), )", "R(g(a ,b))", "S(x->y)"])
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_PIECES), max_size=40)
+       .map(lambda pieces: "".join(pieces)[:60]))
+def test_parse_matches_oracle_on_connective_strings(line):
+    _assert_same_as_oracle(line)
+
+
+def test_parse_matches_oracle_on_random_bytes():
+    rng = np.random.default_rng(2024)
+    for _ in range(20_000):
+        raw = bytes(rng.integers(0, 256, size=int(rng.integers(0, 40)),
+                                 dtype=np.uint8))
+        _assert_same_as_oracle(raw.decode("utf-8", errors="replace"))

@@ -174,6 +174,41 @@ class TestGatewayModes:
         assert (info.value.status, info.value.retries) == (None, 3)
         assert attempts == ["http://127.0.0.1:9/chat/completions"] * 3
 
+    @pytest.mark.parametrize("body", [
+        "<html>502 Bad Gateway</html>",
+        {"error": "overloaded"},
+        {"choices": []},
+        {"choices": [{"message": {"content": None}}]},
+        ["choices"],
+    ], ids=["not-json", "no-choices", "empty-choices", "null-content",
+            "list"])
+    def test_malformed_200_body_is_retried_as_http_error(self, tmp_path,
+                                                         monkeypatch, body):
+        import requests
+
+        attempts = []
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                if isinstance(body, str):
+                    raise requests.JSONDecodeError("Expecting value", body, 0)
+                return body
+
+        def post(url, **kwargs):
+            attempts.append(url)
+            return Reply()
+
+        monkeypatch.setattr(requests, "post", post)
+        gateway = Gateway(mode="live", cache_path=str(tmp_path / "c.jsonl"),
+                          transport=http_chat_transport("http://x"),
+                          max_retries=3, backoff=0.0)
+        with pytest.raises(HttpError) as info:
+            gateway.complete(render_p1("a", "b"))
+        assert (info.value.status, info.value.retries) == (200, 3)
+        assert len(attempts) == 3
+
 
 class TestCacheFormat:
     @pytest.mark.parametrize("mid_character", [False, True])

@@ -352,6 +352,26 @@ class TestLibraryPersistence:
         with pytest.raises(SchemaFormatError, match="99"):
             load_library(str(path))
 
+    @pytest.mark.parametrize("damage, match", [
+        (lambda doc: [doc], "not a JSON object"),
+        (lambda doc: {**doc, "edges": [{"dst": 0, "relation": "Implies",
+                                        "weight": 1.0}]}, "src"),
+        (lambda doc: {**doc, "edges": [{"src": 0, "dst": 1,
+                                        "relation": "Causes",
+                                        "weight": 1.0}]}, "Causes"),
+        (lambda doc: {**doc, "nodes": 5}, "malformed"),
+        (lambda doc: {**doc, "nodes": [dict(doc["nodes"][0], centroid=[1.0]),
+                                       *doc["nodes"][1:]]}, "malformed"),
+    ], ids=["list", "edge-without-src", "unknown-relation", "nodes-not-a-list",
+            "ragged-centroids"])
+    def test_damaged_file_is_schema_format_error(self, library, tmp_path,
+                                                 damage, match):
+        path = tmp_path / "library.json"
+        save_library(library, str(path))
+        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        with pytest.raises(SchemaFormatError, match=match):
+            load_library(str(path))
+
 
 class TestSessionLibrary:
     def test_grid_search_reuses_winning_fit(self, all_graphs, provider,

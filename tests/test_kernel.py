@@ -1,12 +1,14 @@
 """Random-walk kernel engine, model forward/backward, augmentation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (DimensionMismatchError, EmptySetError,
                                 FingerprintMismatchError, InvalidGError,
-                                ShapeMismatchError)
+                                SchemaFormatError, ShapeMismatchError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
                                 build_model, cross_entropy, forward,
@@ -349,3 +351,25 @@ class TestCheckpoints:
             load_checkpoint(path, library_fingerprint="zzz")
         forced = load_checkpoint(path, library_fingerprint="zzz", force=True)
         assert forced.labels == model.labels
+
+    @pytest.mark.parametrize("damage, match", [
+        (lambda text: text[: len(text) // 2], "invalid checkpoint JSON"),
+        (lambda text: "[]", "not a JSON object"),
+        (lambda text: _without(text, "layers"), "layers"),
+        (lambda text: _without(text, "head"), "head"),
+        (lambda text: text.replace('"Implies"', '"Causes"'), "Causes"),
+    ], ids=["torn", "list", "no-layers", "no-head", "unknown-relation"])
+    def test_damaged_file_is_schema_format_error(self, tmp_path, damage, match):
+        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                          top_g=2, layers=1, hidden=8, random_filters=True)
+        path = tmp_path / "model.json"
+        save_checkpoint(build_model(None, cfg), str(path))
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(SchemaFormatError, match=match):
+            load_checkpoint(str(path))
+
+
+def _without(text, key):
+    doc = json.loads(text)
+    del doc[key]
+    return json.dumps(doc)
