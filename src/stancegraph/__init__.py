@@ -10,23 +10,22 @@ from .config import RunConfig
 from .fol import (FolGraph, Predicate, Relation, build_fol_graph,
                   canonical_predicate_string, extract_fol_block, format_expr,
                   parse_fol_line)
-from .embed import cosine, make_provider, test_embed
+from .embed import make_provider, test_embed
 from .gateway import Gateway, render_p1, render_p2
 from .induce import (induce_library, kmeans, load_library, save_library,
                      select_k, silhouette)
 from .kernel import (augment_graph, backward, build_model, forward,
-                     load_checkpoint, rw_kernel, save_checkpoint, topg_select)
+                     load_checkpoint, save_checkpoint)
 from .train import AdamW, evaluate, load_dataset, macro_f1, train
 
 __all__ = [
     "RunConfig", "FolGraph", "Predicate", "Relation", "build_fol_graph",
     "canonical_predicate_string", "extract_fol_block", "format_expr",
-    "parse_fol_line", "cosine", "make_provider", "test_embed", "Gateway",
-    "render_p1", "render_p2", "induce_library", "kmeans", "load_library",
-    "save_library", "select_k", "silhouette", "augment_graph", "backward",
-    "build_model", "forward", "load_checkpoint", "rw_kernel",
-    "save_checkpoint", "topg_select", "AdamW", "evaluate", "load_dataset",
-    "macro_f1", "train",
+    "parse_fol_line", "make_provider", "test_embed", "Gateway", "render_p1",
+    "render_p2", "induce_library", "kmeans", "load_library", "save_library",
+    "select_k", "silhouette", "augment_graph", "backward", "build_model",
+    "forward", "load_checkpoint", "save_checkpoint", "AdamW", "evaluate",
+    "load_dataset", "macro_f1", "train",
 ]
 
 __version__ = "0.1.0"

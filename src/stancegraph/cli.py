@@ -7,77 +7,61 @@ every artifact is stamped with the config fingerprint.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import click
 import numpy as np
 
+from . import pipeline
 from .config import RunConfig
 from .embed import make_provider
-from .errors import StanceGraphError
+from .errors import ConfigError, StanceGraphError
 from .gateway import Gateway
-from .induce import induce_library, load_library, save_library
-from .kernel import (augment_graph, build_model, forward, load_checkpoint,
-                     save_checkpoint)
-from .pipeline import (file_fingerprint, generate_fol, rationale_to_graph,
-                       write_graph_records)
-from .train import (LABEL_SETS, evaluate, load_dataset, load_graph_records,
-                    train)
+from .induce import SchemaLibrary, induce_library, load_library, save_library
+from .kernel import augment_graph, build_model, forward, load_checkpoint, save_checkpoint
+from .pipeline import file_fingerprint, generate_fol, write_graph_records
+from .train import (LABEL_SETS, LabeledExample, evaluate, load_dataset,
+                    load_graph_records, train)
+
+_FIELDS = frozenset(f.name for f in fields(RunConfig))
+_CONFIG = click.option("--config", "config_path", type=click.Path(exists=True),
+                       default=None, help="JSON config file; flags override its values.")
+_SHARED = {
+    "seed": click.option("--seed", type=int, default=None),
+    "mode": click.option("--mode", type=click.Choice(["live", "record", "replay"]),
+                         default=None),
+    "cache_dir": click.option("--cache-dir", type=click.Path(), default=None),
+}
 
 
-def _load_config(config_path: str | None, **overrides) -> RunConfig:
+def _label_set(ctx, param, name: str | None) -> list[str] | None:
+    """--label-set NAME as the list of labels it names."""
+    if name is not None and name not in LABEL_SETS:
+        raise click.BadParameter(
+            f"unknown label set {name!r}; choose from {sorted(LABEL_SETS)}")
+    return None if name is None else list(LABEL_SETS[name])
+
+
+_LABEL_SET = click.option("--label-set", default=None, callback=_label_set,
+                          help="favor-against-none | pro-con-neutral")
+
+
+def _load_config(config_path: str | None, overrides: dict) -> RunConfig:
     data = {}
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+        try:
+            with open(config_path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"{config_path}: not a JSON file ({exc})") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"{config_path}: the config must be a JSON object, "
+                              f"not {type(data).__name__}")
+    data.update((key, value) for key, value in overrides.items() if value is not None)
     return RunConfig.from_dict(data)
-
-
-def _apply_ablations(cfg: RunConfig, ablate: tuple[str, ...]) -> None:
-    for name in ablate:
-        if name == "random-filters":
-            cfg.random_filters = True
-        elif name == "skip-augmentation":
-            cfg.skip_augmentation = True
-        else:
-            raise click.UsageError(f"unknown ablation {name!r}")
-
-
-def _labels(label_set: str | None, cfg: RunConfig) -> list[str]:
-    if label_set is None:
-        return list(cfg.label_set)
-    if label_set not in LABEL_SETS:
-        raise click.UsageError(
-            f"unknown label set {label_set!r}; choose from {sorted(LABEL_SETS)}")
-    return LABEL_SETS[label_set]
-
-
-def _gateway(cfg: RunConfig) -> Gateway:
-    cache_path = os.path.join(cfg.cache_dir, "llm_cache.jsonl")
-    return Gateway(mode=cfg.mode, cache_path=cache_path)
-
-
-_GLOBAL_OPTS = [
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                 help="JSON config file; flags override its values."),
-    click.option("--seed", type=int, default=None),
-    click.option("--mode", type=click.Choice(["live", "record", "replay"]), default=None),
-    click.option("--cache-dir", type=click.Path(), default=None),
-    click.option("--ablate", multiple=True,
-                 type=click.Choice(["random-filters", "skip-augmentation"])),
-]
-
-
-def _with_global_opts(fn):
-    for opt in reversed(_GLOBAL_OPTS):
-        fn = opt(fn)
-    return fn
 
 
 @click.group()
@@ -85,26 +69,60 @@ def main() -> None:
     """Schema-guided zero-shot stance detection pipeline."""
 
 
-@main.command("generate-fol")
-@_with_global_opts
+def _command(name: str, *flags: str, config: bool = True):
+    """Register subcommand `name` with --config and the named shared flags.
+    A given parameter named after a RunConfig field overrides that field of
+    the config file; the command gets `cfg` and its other parameters. A
+    StanceGraphError or OSError from either exits through ClickException."""
+    def register(fn):
+        @functools.wraps(fn)
+        def run(**params):
+            try:
+                if config:
+                    overrides = {key: params.pop(key) for key in params.keys() & _FIELDS}
+                    params["cfg"] = _load_config(params.pop("config_path"), overrides)
+                fn(**params)
+            except (StanceGraphError, OSError) as exc:
+                raise click.ClickException(str(exc)) from exc
+
+        for flag in reversed(flags):
+            run = _SHARED[flag](run)
+        return main.command(name)(_CONFIG(run) if config else run)
+    return register
+
+
+def _gateway(cfg: RunConfig) -> Gateway:
+    cache_path = os.path.join(cfg.cache_dir, "llm_cache.jsonl")
+    return Gateway(mode=cfg.mode, cache_path=cache_path)
+
+
+def _augment(examples: list[LabeledExample], library: SchemaLibrary | None,
+             cfg: RunConfig) -> list[LabeledExample]:
+    """Link each example's graph to the library's schema nodes, unless there
+    is no library or the config skips augmentation."""
+    if library is not None and not cfg.skip_augmentation:
+        for ex in examples:
+            ex.graph = augment_graph(ex.graph, library)
+    return examples
+
+
+def _checked_model(checkpoint: str, library_path: str | None, force: bool):
+    """The checkpoint, checked against the library file, and the library."""
+    fingerprint = file_fingerprint(library_path) if library_path else None
+    model = load_checkpoint(checkpoint, library_fingerprint=fingerprint, force=force)
+    return model, load_library(library_path) if library_path else None
+
+
+@_command("generate-fol", "mode", "cache_dir")
 @click.argument("dataset", type=click.Path(exists=True))
 @click.argument("out", type=click.Path())
-@click.option("--label-set", default=None, help="favor-against-none | pro-con-neutral")
-def cmd_generate_fol(config_path, seed, mode, cache_dir, ablate,
-                     dataset, out, label_set) -> None:
+@_LABEL_SET
+def cmd_generate_fol(cfg, dataset, out) -> None:
     """Elicit FOL rationales per example and write graph records."""
-    cfg = _load_config(config_path, seed=seed, mode=mode, cache_dir=cache_dir)
-    _apply_ablations(cfg, ablate)
-    labels = _labels(label_set, cfg)
-    cfg.label_set = labels
-    try:
-        examples = load_dataset(dataset, labels)
-        provider = make_provider(cfg.embedding_provider, cfg.dimension)
-        gateway = _gateway(cfg)
-        enriched, stats = generate_fol(examples, gateway, provider, cfg)
-        write_graph_records(enriched, out, config_fingerprint=cfg.fingerprint())
-    except StanceGraphError as exc:
-        raise click.ClickException(str(exc)) from exc
+    examples = load_dataset(dataset, cfg.label_set)
+    provider = make_provider(cfg.embedding_provider, cfg.dimension)
+    enriched, stats = generate_fol(examples, _gateway(cfg), provider, cfg)
+    write_graph_records(enriched, out, config_fingerprint=cfg.fingerprint())
     if stats.dropped_lines or stats.unparsed_lines or stats.fallback_graphs:
         click.echo(f"partial failures: dropped={stats.dropped_lines} "
                    f"unparsed={stats.unparsed_lines} "
@@ -112,30 +130,20 @@ def cmd_generate_fol(config_path, seed, mode, cache_dir, ablate,
     click.echo(f"wrote {stats.examples} graph records to {out}")
 
 
-@main.command("induce")
-@_with_global_opts
+@_command("induce", "seed", "mode", "cache_dir")
 @click.argument("graphs", type=click.Path(exists=True))
 @click.argument("out", type=click.Path())
 @click.option("--k", "k_fixed", type=int, default=None, help="Fix K instead of searching.")
-@click.option("--label-set", default=None)
-def cmd_induce(config_path, seed, mode, cache_dir, ablate,
-               graphs, out, k_fixed, label_set) -> None:
+@_LABEL_SET
+def cmd_induce(cfg, graphs, out) -> None:
     """Cluster pooled predicates and build the schema library."""
-    cfg = _load_config(config_path, seed=seed, mode=mode, cache_dir=cache_dir,
-                       k_fixed=k_fixed)
-    _apply_ablations(cfg, ablate)
-    labels = _labels(label_set, cfg)
-    try:
-        examples = load_graph_records(graphs, labels)
-        provider = make_provider(cfg.embedding_provider, cfg.dimension)
-        gateway = _gateway(cfg)
-        library = induce_library(
-            [ex.graph for ex in examples], provider, gateway, seed=cfg.seed,
-            k_grid=cfg.k_grid, k_fixed=cfg.k_fixed, model_id=cfg.model_id,
-            config_fingerprint=cfg.fingerprint(), p2_max_lines=cfg.p2_max_lines)
-        save_library(library, out)
-    except StanceGraphError as exc:
-        raise click.ClickException(str(exc)) from exc
+    examples = load_graph_records(graphs, cfg.label_set)
+    provider = make_provider(cfg.embedding_provider, cfg.dimension)
+    library = induce_library(
+        [ex.graph for ex in examples], provider, _gateway(cfg), seed=cfg.seed,
+        k_grid=cfg.k_grid, k_fixed=cfg.k_fixed, model_id=cfg.model_id,
+        config_fingerprint=cfg.fingerprint(), p2_max_lines=cfg.p2_max_lines)
+    save_library(library, out)
     fallbacks = sum(node.fallback for node in library.graph.nodes)
     if fallbacks:
         click.echo(f"P2 fallbacks: {fallbacks} of {library.k} schema nodes "
@@ -143,76 +151,48 @@ def cmd_induce(config_path, seed, mode, cache_dir, ablate,
     click.echo(f"induced schema library with K={library.k} -> {out}")
 
 
-@main.command("train")
-@_with_global_opts
+@_command("train", "seed", "mode", "cache_dir")
 @click.argument("train_graphs", type=click.Path(exists=True))
 @click.argument("dev_graphs", type=click.Path(exists=True))
 @click.argument("library_path", type=click.Path(exists=True))
 @click.argument("out", type=click.Path())
-@click.option("--label-set", default=None)
+@_LABEL_SET
 @click.option("--log-out", type=click.Path(), default=None)
 @click.option("--n-filters", type=int, default=None)
 @click.option("--epochs", "max_epochs", type=int, default=None)
 @click.option("--learning-rate", type=float, default=None)
 @click.option("--patience", type=int, default=None)
-def cmd_train(config_path, seed, mode, cache_dir, ablate, train_graphs,
-              dev_graphs, library_path, out, label_set, log_out,
-              n_filters, max_epochs, learning_rate, patience) -> None:
+def cmd_train(cfg, train_graphs, dev_graphs, library_path, out, log_out) -> None:
     """Train the kernel model from a schema library."""
-    cfg = _load_config(config_path, seed=seed, mode=mode, cache_dir=cache_dir,
-                       n_filters=n_filters, max_epochs=max_epochs,
-                       learning_rate=learning_rate, patience=patience)
-    _apply_ablations(cfg, ablate)
-    labels = _labels(label_set, cfg)
-    cfg.label_set = labels
-    try:
-        library = load_library(library_path)
-        cfg.dimension = library.dimension
-        train_set = load_graph_records(train_graphs, labels)
-        dev_set = load_graph_records(dev_graphs, labels)
-        if not cfg.skip_augmentation:
-            for ex in train_set + dev_set:
-                ex.graph = augment_graph(ex.graph, library)
-        model = build_model(library, cfg, labels=labels,
-                            library_fingerprint=file_fingerprint(library_path))
-        result = train(train_set, dev_set, model, cfg)
-        save_checkpoint(result.model, out)
-        if log_out:
-            with open(log_out, "w", encoding="utf-8") as fh:
-                json.dump(result.log, fh, ensure_ascii=False, sort_keys=True)
-                fh.write("\n")
-    except StanceGraphError as exc:
-        raise click.ClickException(str(exc)) from exc
+    library = load_library(library_path)
+    cfg.dimension = library.dimension
+    train_set, dev_set = (_augment(load_graph_records(path, cfg.label_set), library, cfg)
+                          for path in (train_graphs, dev_graphs))
+    model = build_model(library, cfg, labels=cfg.label_set,
+                        library_fingerprint=file_fingerprint(library_path))
+    result = train(train_set, dev_set, model, cfg)
+    save_checkpoint(result.model, out)
+    if log_out:
+        with open(log_out, "w", encoding="utf-8") as fh:
+            json.dump(result.log, fh, ensure_ascii=False, sort_keys=True)
+            fh.write("\n")
     click.echo(f"best validation loss {result.best_val_loss:.6f} "
                f"after {result.epochs_run:.2f} epochs -> {out}")
 
 
-@main.command("eval")
-@_with_global_opts
+@_command("eval", "mode", "cache_dir")
 @click.argument("graphs", type=click.Path(exists=True))
 @click.argument("checkpoint", type=click.Path(exists=True))
 @click.option("--library", "library_path", type=click.Path(exists=True), default=None)
-@click.option("--label-set", default=None)
 @click.option("--metrics-out", type=click.Path(), default=None)
 @click.option("--predictions-out", type=click.Path(), default=None)
 @click.option("--force", is_flag=True, default=False)
-def cmd_eval(config_path, seed, mode, cache_dir, ablate, graphs, checkpoint,
-             library_path, label_set, metrics_out, predictions_out, force) -> None:
+def cmd_eval(cfg, graphs, checkpoint, library_path, metrics_out,
+             predictions_out, force) -> None:
     """Evaluate a checkpoint; writes metrics and per-example predictions."""
-    cfg = _load_config(config_path, seed=seed, mode=mode, cache_dir=cache_dir)
-    _apply_ablations(cfg, ablate)
-    try:
-        fingerprint = file_fingerprint(library_path) if library_path else None
-        model = load_checkpoint(checkpoint, library_fingerprint=fingerprint,
-                                force=force)
-        examples = load_graph_records(graphs, model.labels)
-        if library_path and not cfg.skip_augmentation:
-            library = load_library(library_path)
-            for ex in examples:
-                ex.graph = augment_graph(ex.graph, library)
-        report = evaluate(examples, model)
-    except StanceGraphError as exc:
-        raise click.ClickException(str(exc)) from exc
+    model, library = _checked_model(checkpoint, library_path, force)
+    examples = _augment(load_graph_records(graphs, model.labels), library, cfg)
+    report = evaluate(examples, model)
     if metrics_out:
         payload = {k: report[k] for k in ("accuracy", "metrics", "per_target")}
         payload["config_fingerprint"] = model.config_fingerprint
@@ -230,34 +210,19 @@ def cmd_eval(config_path, seed, mode, cache_dir, ablate, graphs, checkpoint,
     }, sort_keys=True))
 
 
-@main.command("predict")
-@_with_global_opts
+@_command("predict", "mode", "cache_dir")
 @click.argument("text")
 @click.argument("target")
 @click.argument("checkpoint", type=click.Path(exists=True))
 @click.option("--library", "library_path", type=click.Path(exists=True), default=None)
 @click.option("--force", is_flag=True, default=False)
-def cmd_predict(config_path, seed, mode, cache_dir, ablate, text, target,
-                checkpoint, library_path, force) -> None:
+def cmd_predict(cfg, text, target, checkpoint, library_path, force) -> None:
     """Predict the stance of one text/target pair, with the filter trace."""
-    cfg = _load_config(config_path, seed=seed, mode=mode, cache_dir=cache_dir)
-    _apply_ablations(cfg, ablate)
-    try:
-        fingerprint = file_fingerprint(library_path) if library_path else None
-        model = load_checkpoint(checkpoint, library_fingerprint=fingerprint,
-                                force=force)
-        provider = make_provider(cfg.embedding_provider, model.dimension)
-        gateway = _gateway(cfg)
-        from .gateway import render_p1
-        rationale = gateway.complete(render_p1(text, target, model_id=cfg.model_id,
-                                               temperature=cfg.temperature,
-                                               max_tokens=cfg.max_tokens))
-        graph = rationale_to_graph(rationale, target, provider)
-        if library_path and not cfg.skip_augmentation:
-            graph = augment_graph(graph, load_library(library_path))
-        cache = forward(graph, model)
-    except StanceGraphError as exc:
-        raise click.ClickException(str(exc)) from exc
+    model, library = _checked_model(checkpoint, library_path, force)
+    provider = make_provider(cfg.embedding_provider, model.dimension)
+    ex = pipeline.elicit(LabeledExample(text=text, target=target, label=""),
+                         _gateway(cfg), provider, cfg)
+    cache = forward(_augment([ex], library, cfg)[0].graph, model)
     click.echo(json.dumps({
         "text": text,
         "target": target,
@@ -267,19 +232,12 @@ def cmd_predict(config_path, seed, mode, cache_dir, ablate, text, target,
     }, ensure_ascii=False, sort_keys=True))
 
 
-@main.command("inspect")
-@_with_global_opts
+@_command("inspect", config=False)
 @click.argument("library_path", type=click.Path(exists=True))
 @click.option("--json", "as_json", is_flag=True, default=False)
-def cmd_inspect(config_path, seed, mode, cache_dir, ablate,
-                library_path, as_json) -> None:
+def cmd_inspect(library_path, as_json) -> None:
     """Dump schema summaries, cluster sizes, edges, and a filter preview."""
-    try:
-        library = load_library(library_path)
-    except OSError as exc:
-        raise click.ClickException(str(exc)) from exc
-    except StanceGraphError as exc:
-        raise click.ClickException(str(exc)) from exc
+    library = load_library(library_path)
     if as_json:
         click.echo(json.dumps({
             "k": library.k,

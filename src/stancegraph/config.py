@@ -6,6 +6,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
+from .errors import ConfigError
+
 
 @dataclass
 class RunConfig:
@@ -43,7 +45,6 @@ class RunConfig:
     patience: int = 10
     validation_interval: float = 0.2
     weight_decay: float = 0.01
-    grad_clip: float | None = None
     seed: int = 0
     # ablations
     random_filters: bool = False
@@ -60,5 +61,5 @@ class RunConfig:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)

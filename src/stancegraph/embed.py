@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ProviderError, ZeroVectorError
+from .errors import DimensionMismatchError, ProviderError
 from .gateway import PromptRequest, _DiskCache
 
 _MASK64 = (1 << 64) - 1
@@ -70,19 +70,6 @@ def _normals(seed: int, count: int) -> np.ndarray:
         out.append(r * math.cos(theta))
         out.append(r * math.sin(theta))
     return np.array(out[:count], dtype=np.float64)
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity clamped to [-1, 1]; rejects zero vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cosine shapes {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine of a zero vector is undefined")
-    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 class EmbeddingProvider:

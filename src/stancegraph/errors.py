@@ -51,6 +51,11 @@ class TransportTimeoutError(StanceGraphError):
     pass
 
 
+class ConfigError(StanceGraphError):
+    """A run configuration that cannot be used: a config file that is not a
+    JSON object, or a key that is not a RunConfig field."""
+
+
 class GatewayConfigError(StanceGraphError):
     pass
 
@@ -60,10 +65,6 @@ class ProviderError(StanceGraphError):
 
 
 class DimensionMismatchError(StanceGraphError):
-    pass
-
-
-class ZeroVectorError(StanceGraphError):
     pass
 
 

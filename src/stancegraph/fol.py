@@ -15,8 +15,10 @@ its bound variable. A NAME is a run of characters that are neither
 whitespace nor one of ()∧∨¬→&|~, and that does not contain '->'.
 Arguments are free strings: anything up to a top-level comma or the closing
 paren, with inner whitespace collapsed; nested balanced parens stay verbatim.
-At most MAX_NESTING '(' and NOT may be open at once; a deeper line is a
-ParseError, which keeps the recursive parser well inside Python's stack.
+At most MAX_NESTING '(', NOT and IMPLIES may be open at once (an IMPLIES
+stays open until its chain ends); a deeper line is a ParseError. That bounds
+the depth of every tree, which keeps the recursive parser and the recursive
+graph builder well inside Python's stack.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class _Parser:
         self.advance()
 
     def enter(self) -> None:
-        """Open one '(' or NOT at the lookahead token."""
+        """Open one '(', NOT or IMPLIES at the lookahead token."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError("nesting too deep", self.offset)
@@ -125,10 +127,15 @@ class _Parser:
         return expr
 
     def parse_implies(self) -> FolExpr:
+        # each → deepens the left-deep tree by one level, so it holds one
+        # nesting level until this chain ends
         expr = self.parse_nary("or", self.parse_and)
+        opened = 0
         while self.kind == "implies":
-            self.advance()
+            self.enter()
+            opened += 1
             expr = Connective("implies", (expr, self.parse_nary("or", self.parse_and)))
+        self.depth -= opened
         return expr
 
     def parse_nary(self, kind: str, operand: Callable[[], FolExpr]) -> FolExpr:

@@ -191,7 +191,7 @@ class Gateway:
                  max_retries: int = 3,
                  backoff: float = 0.5):
         if mode not in ("live", "record", "replay"):
-            raise ValueError(f"unknown gateway mode {mode!r}")
+            raise GatewayConfigError(f"unknown gateway mode {mode!r}")
         if max_retries < 1:
             raise GatewayConfigError(
                 f"max_retries must be at least 1, got {max_retries}")

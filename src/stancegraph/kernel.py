@@ -137,23 +137,12 @@ def _kernel_values(s0: np.ndarray, sp: np.ndarray, W: np.ndarray
     return (s0.reshape(*s0.shape[:-2], 1, q) @ w_sp)[..., 0, 0], w_sp[..., 0]
 
 
-def rw_kernel(sub: PaddedSubgraph, filter_feat: np.ndarray,
-              filter_adj: np.ndarray, W: np.ndarray, p: int) -> float:
-    """One subgraph against one filter through the batched kernel."""
-    steps = _walk(sub.features, sub.adjacency, filter_feat, filter_adj, p)
-    return float(_kernel_values(steps[0], steps[-1], W)[0])
-
-
 def _topg(scores: np.ndarray, g: int) -> np.ndarray:
     """Per row, the indices of the g largest scores, ties to the smaller
     index, sorted ascending."""
     if not 1 <= g <= scores.shape[1]:
         raise InvalidGError(f"g={g} outside [1, {scores.shape[1]}]")
     return np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :g], axis=1)
-
-
-def topg_select(scores: list[float], g: int) -> list[int]:
-    return _topg(np.asarray(scores, dtype=np.float64)[None], g)[0].tolist()
 
 
 # ---------------------------------------------------------------------------

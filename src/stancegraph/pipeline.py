@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .config import RunConfig
 from .embed import EmbeddingProvider
@@ -62,22 +62,23 @@ def extract_llm_stance(rationale: str) -> str | None:
     return None
 
 
+def elicit(ex: LabeledExample, gateway: Gateway, provider: EmbeddingProvider,
+           cfg: RunConfig, stats: GenerateStats | None = None) -> LabeledExample:
+    """Ask P1 about one example under cfg; the example with the rationale,
+    its instance graph and the stance word the rationale ends on."""
+    rationale = gateway.complete(render_p1(
+        ex.text, ex.target, model_id=cfg.model_id,
+        temperature=cfg.temperature, max_tokens=cfg.max_tokens))
+    return replace(ex, rationale=rationale,
+                   graph=rationale_to_graph(rationale, ex.target, provider, stats),
+                   llm_stance=extract_llm_stance(rationale))
+
+
 def generate_fol(examples: list[LabeledExample], gateway: Gateway,
                  provider: EmbeddingProvider, cfg: RunConfig
                  ) -> tuple[list[LabeledExample], GenerateStats]:
-    stats = GenerateStats()
-    out = []
-    for ex in examples:
-        stats.examples += 1
-        req = render_p1(ex.text, ex.target, model_id=cfg.model_id,
-                        temperature=cfg.temperature, max_tokens=cfg.max_tokens)
-        rationale = gateway.complete(req)
-        graph = rationale_to_graph(rationale, ex.target, provider, stats)
-        out.append(LabeledExample(
-            text=ex.text, target=ex.target, label=ex.label,
-            rationale=rationale, graph=graph,
-            llm_stance=extract_llm_stance(rationale)))
-    return out, stats
+    stats = GenerateStats(examples=len(examples))
+    return [elicit(ex, gateway, provider, cfg, stats) for ex in examples], stats
 
 
 def write_graph_records(examples: list[LabeledExample], path: str,

@@ -215,12 +215,6 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss at step {step}", batch_index=start // cfg.batch_size)
-            if cfg.grad_clip is not None:
-                norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-                if norm > cfg.grad_clip:
-                    scale = cfg.grad_clip / norm
-                    for g in grads.values():
-                        g *= scale
             optimizer.step(params, grads)
             model.assert_finite()
             step += 1

@@ -1,4 +1,5 @@
-"""Reference computations the tests compare the package against."""
+"""Reference computations the tests compare the package against, and
+one-item views of the package's batched code that only the tests need."""
 
 import math
 from dataclasses import dataclass, replace
@@ -6,8 +7,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from stancegraph.embed import fnv1a64
-from stancegraph.errors import ParseError
+from stancegraph.errors import (DimensionMismatchError, ParseError,
+                                StanceGraphError)
 from stancegraph.fol import Connective, FolExpr, Predicate
+from stancegraph.kernel import PaddedSubgraph, _kernel_values, _topg, _walk
 
 _MASK64 = (1 << 64) - 1
 
@@ -24,6 +27,18 @@ def explicit_kernel_oracle(sub_adj: np.ndarray, sub_feat: np.ndarray,
     if W.ndim == 1:
         W = np.diag(W)
     return float(s @ W @ powered @ s)
+
+
+def rw_kernel(sub: PaddedSubgraph, filter_feat: np.ndarray,
+              filter_adj: np.ndarray, W: np.ndarray, p: int) -> float:
+    """One subgraph against one filter through the package's batched kernel."""
+    steps = _walk(sub.features, sub.adjacency, filter_feat, filter_adj, p)
+    return float(_kernel_values(steps[0], steps[-1], W)[0])
+
+
+def topg_select(scores: list[float], g: int) -> list[int]:
+    """The package's top-g on one row of scores."""
+    return _topg(np.asarray(scores, dtype=np.float64)[None], g)[0].tolist()
 
 
 def bfs_subgraph_order(adjacency: np.ndarray, v: int, hop: int,
@@ -63,6 +78,23 @@ def loop_silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
             continue
         scores[i] = (b - a) / (a + b)
     return float(scores.mean())
+
+
+class ZeroVectorError(StanceGraphError):
+    pass
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity clamped to [-1, 1]; rejects zero vectors."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionMismatchError(f"cosine shapes {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ZeroVectorError("cosine of a zero vector is undefined")
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def scalar_splitmix64(state: int) -> tuple[int, int]:

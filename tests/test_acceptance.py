@@ -16,12 +16,11 @@ from stancegraph.config import RunConfig
 from stancegraph.errors import ParseError
 from stancegraph.fol import Connective, Predicate, parse_fol_line
 from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
-                                build_model, cross_entropy, forward, rw_kernel,
-                                softmax)
+                                build_model, cross_entropy, forward, softmax)
 from stancegraph.induce import kmeans, select_k, silhouette
 from stancegraph.train import dataset_loss, evaluate, macro_f1, train
 from tests.conftest import DATA_DIR, base_config
-from tests.oracle import explicit_kernel_oracle
+from tests.oracle import explicit_kernel_oracle, rw_kernel
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from stancegraph import embed
 from stancegraph.embed import (HashEmbeddingProvider, RemoteEmbeddingProvider,
-                               TokenAverageProvider, cosine, make_provider)
+                               TokenAverageProvider, make_provider)
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (CacheFormatError, DimensionMismatchError,
-                                ProviderError, ZeroVectorError)
-from tests.oracle import scalar_embed, scalar_normals
+                                ProviderError)
+from tests.oracle import ZeroVectorError, cosine, scalar_embed, scalar_normals
 
 
 class TestTestEmbed:

@@ -13,10 +13,10 @@ from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
                                 build_model, cross_entropy, forward,
                                 graph_adjacency, khop_subgraph, layer_forward,
-                                load_checkpoint, readout, rw_kernel,
-                                save_checkpoint, softmax, topg_select)
+                                load_checkpoint, readout, save_checkpoint,
+                                softmax)
 from tests.conftest import base_config
-from tests.oracle import explicit_kernel_oracle
+from tests.oracle import explicit_kernel_oracle, rw_kernel, topg_select
 
 
 def _chain_graph(n, d=8):

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import (KernelLayerParams, backward, build_model,
                                 cross_entropy, forward, khop_subgraph,
-                                khop_subgraphs, layer_forward, topg_select)
+                                khop_subgraphs, layer_forward)
 from tests.conftest import base_config
-from tests.oracle import bfs_subgraph_order, explicit_kernel_oracle
+from tests.oracle import (bfs_subgraph_order, explicit_kernel_oracle,
+                          topg_select)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
