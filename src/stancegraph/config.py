@@ -53,7 +53,12 @@ class RunConfig:
     label_set: list[str] = field(default_factory=lambda: ["Favor", "Against", "None"])
 
     def fingerprint(self) -> str:
-        payload = json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
+        """Hash of every field that shapes what a run computes. Where the
+        LLM cache lives and the gateway mode are left out, so one run from
+        two copies of a cache writes the same artifact bytes."""
+        kept = {k: v for k, v in asdict(self).items()
+                   if k not in ("cache_dir", "mode")}
+        payload = json.dumps(kept, sort_keys=True, ensure_ascii=False)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     @classmethod

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -95,27 +96,82 @@ def read_jsonl_cache(path: str) -> Iterator[tuple[int, Any]]:
             yield number, entry
 
 
+# A line in the shape `put` writes (json.dumps of a record whose first field
+# is the key) matches the first branch: it starts `{"key": "<key>", `, holds
+# `"response": ` and ends `}` and a newline. The key is printable ASCII
+# without `"` or `\`, so its bytes are the key itself. Every other line,
+# blank, torn, or of another spacing or field order, matches the second.
+_LINE = re.compile(rb'\{"key": "([ !#-\[\]-~]*)", .*"response": .*\}\n|.*\n?')
+
+
+def _raw(key: str) -> bytes:
+    """A key as the cache indexes it: its UTF-8 bytes. A lone surrogate,
+    which JSON can spell as an escape, passes through."""
+    return key.encode("utf-8", "surrogatepass")
+
+
 class _DiskCache:
     """Append-only newline-JSON cache. Writes are serialized by a lock and
     emitted as single write() calls, so concurrent writers never corrupt
     existing entries. A response is any JSON value: completion text for the
-    gateway, a vector for the remote embedding provider."""
+    gateway, a vector for the remote embedding provider.
+
+    Opening the cache reads the file as one buffer and indexes it: a line in
+    the shape `put` writes is kept undecoded, by the offset of the last line
+    with its key, and decoded on its first lookup; any other line is decoded
+    at once. So damage in a line of another shape (a torn tail, say) raises
+    CacheFormatError when the cache is opened, and damage inside a line of
+    the written shape when its key is looked up."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        self._entries: dict[str, Any] = {}
-        if os.path.exists(path):
-            for number, entry in read_jsonl_cache(path):
-                try:
-                    self._entries[entry["key"]] = entry["response"]
-                except (KeyError, TypeError) as exc:
-                    raise CacheFormatError(
-                        path, number,
-                        "expected an object with 'key' and 'response'") from exc
+        self._buffer = b""
+        # _raw(key) -> offset of its last line, until that line is decoded
+        self._offsets: dict[bytes, int] = {}
+        self._responses: dict[str, Any] = {}
+        if not os.path.exists(path):
+            return
+        with open(path, "rb") as fh:
+            self._buffer = fh.read()
+        for match in _LINE.finditer(self._buffer):
+            key = match[1]
+            if key is not None:
+                self._offsets[key] = match.start()
+            elif match[0].strip():
+                # Checked now; decoded again from its offset on lookup.
+                key, _ = self._entry(match.start())
+                self._offsets[_raw(key)] = match.start()
+
+    def _entry(self, start: int) -> tuple[str, Any]:
+        """(key, response) of the line that starts at byte `start`."""
+        end = self._buffer.find(b"\n", start)
+        line = self._buffer[start:end if end >= 0 else None]
+        try:
+            entry = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise CacheFormatError(self.path, self._line_number(start), exc) from exc
+        if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)
+                and "response" in entry):
+            raise CacheFormatError(
+                self.path, self._line_number(start),
+                "expected an object with a string 'key' and a 'response'")
+        return entry["key"], entry["response"]
+
+    def _line_number(self, start: int) -> int:
+        return self._buffer.count(b"\n", 0, start) + 1
 
     def get(self, key: str) -> Any:
-        return self._entries.get(key)
+        raw = _raw(key)
+        if raw in self._offsets:
+            with self._lock:
+                # The response is stored before the offset goes, so a
+                # lookup that skips the lock always finds one of them.
+                start = self._offsets.get(raw)
+                if start is not None:
+                    _, self._responses[key] = self._entry(start)
+                    del self._offsets[raw]
+        return self._responses.get(key)
 
     def put(self, req: PromptRequest, response: Any) -> None:
         record = {
@@ -129,7 +185,8 @@ class _DiskCache:
         }
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._lock:
-            self._entries[record["key"]] = response
+            self._offsets.pop(_raw(record["key"]), None)
+            self._responses[record["key"]] = response
             os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line)

@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+import shutil
 
 import pytest
 from click.testing import CliRunner
 
 from stancegraph import cli
 from stancegraph.cli import main
+from stancegraph.config import RunConfig
 from stancegraph.pipeline import file_fingerprint
 from stancegraph.synth import FIXTURE_DIMENSION, FIXTURE_PROVIDER
 from tests.conftest import DATA_DIR, torn_cache
@@ -129,6 +131,32 @@ class TestPipeline:
         doc = json.loads(result.output)
         assert doc["k"] == 8
         assert len(doc["nodes"]) == 8
+
+
+class TestRunLocation:
+    """Where the cache lives, and the gateway mode, do not enter the config
+    fingerprint, so they do not change artifact bytes."""
+
+    def test_fingerprint_leaves_out_cache_dir_and_mode(self):
+        here = RunConfig(cache_dir="here", mode="replay").fingerprint()
+        assert RunConfig(cache_dir="there", mode="record").fingerprint() == here
+        assert RunConfig(cache_dir="here", seed=1).fingerprint() != here
+
+    def test_two_cache_copies_write_identical_graph_records(self, config_path,
+                                                            tmp_path):
+        records = []
+        for copy in ("a", "b"):
+            cache_dir = tmp_path / copy / "cache"
+            cache_dir.mkdir(parents=True)
+            shutil.copyfile(DATA_DIR / "llm_cache.jsonl",
+                            cache_dir / "llm_cache.jsonl")
+            out = tmp_path / copy / "dev.graphs.jsonl"
+            result = _run(["generate-fol", "--config", config_path,
+                           "--cache-dir", str(cache_dir),
+                           str(DATA_DIR / "dev.csv"), str(out)])
+            assert result.exit_code == 0, result.output
+            records.append(out.read_bytes())
+        assert records[0] == records[1]
 
 
 class TestErrorPaths:

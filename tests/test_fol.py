@@ -76,6 +76,10 @@ class TestParseFolLine:
         with pytest.raises(ParseError):
             parse_fol_line("   ")
 
+    def test_word_operator_is_not_a_predicate_name(self):
+        with pytest.raises(ParseError):
+            parse_fol_line("A ∧ OR")
+
 
 class TestBuildFolGraph:
     def _embed(self, graph):
@@ -121,7 +125,10 @@ class TestCanonical:
         assert canonical_predicate_string(Predicate("P", ())) == "P()"
 
 
-_name = st.from_regex(r"[A-Z][A-Za-z]{0,6}", fullmatch=True)
+# Names the grammar reads as word operators are not predicate names.
+_WORD_OPERATORS = {"AND", "OR", "NOT", "IMPLIES"}
+_name = st.from_regex(r"[A-Z][A-Za-z]{0,6}", fullmatch=True).filter(
+    lambda name: name not in _WORD_OPERATORS)
 _arg = st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,5}", fullmatch=True)
 
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from stancegraph.errors import (CacheFormatError, CacheMissError,
@@ -226,3 +227,105 @@ class TestCacheFormat:
         with pytest.raises(CacheFormatError, match="line 1") as info:
             Gateway(mode="replay", cache_path=str(path))
         assert str(path) in str(info.value)
+
+
+def _write_lines(path, *lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return str(path)
+
+
+class TestIndexedCache:
+    """Opening a cache indexes the lines in the shape the gateway writes;
+    each such line is decoded on the first lookup of its key."""
+
+    def test_a_line_is_decoded_only_on_its_first_lookup(self, tmp_path,
+                                                         monkeypatch):
+        path = str(tmp_path / "llm_cache.jsonl")
+        reqs = [render_p1(f"text {i}", "target") for i in range(3)]
+        answers = {req.cache_key(): f"answer {i}" for i, req in enumerate(reqs)}
+        recorder = Gateway(mode="record", cache_path=path,
+                           transport=lambda req: answers[req.cache_key()])
+        expected = [recorder.complete(req) for req in reqs]
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads",
+                            lambda s, **kw: decoded.append(s) or loads(s, **kw))
+        gateway = Gateway(mode="replay", cache_path=path)
+        assert decoded == []
+        assert gateway.complete(reqs[1]) == expected[1]
+        assert len(decoded) == 1
+        assert gateway.complete(reqs[1]) == expected[1]
+        assert len(decoded) == 1
+
+    def test_broken_line_fails_on_lookup_naming_path_and_line(self, tmp_path):
+        path = _write_lines(tmp_path / "llm_cache.jsonl",
+                            '{"key": "k1", "response": "r1"}',
+                            '{"key": "k2", "response": tru}',
+                            '{"key": "k3", "response": "r3"}')
+        cache = Gateway(mode="replay", cache_path=path).cache
+        assert cache.get("k1") == "r1"
+        assert cache.get("k3") == "r3"
+        with pytest.raises(CacheFormatError, match="line 2") as info:
+            cache.get("k2")
+        assert path in str(info.value)
+
+    def test_written_shape_without_a_string_key_fails_on_lookup(self, tmp_path):
+        path = _write_lines(tmp_path / "llm_cache.jsonl",
+                            '{"key": "k1", "other": {"response": 1}}')
+        cache = Gateway(mode="replay", cache_path=path).cache
+        with pytest.raises(CacheFormatError, match="line 1"):
+            cache.get("k1")
+
+    @pytest.mark.parametrize("first, second", [
+        ('{"key": "k", "response": "old"}', '{"key": "k", "response": "new"}'),
+        ('{"response":"old","key":"k"}', '{"key": "k", "response": "new"}'),
+        ('{"key": "k", "response": "old"}', '{"response":"new","key":"k"}'),
+    ], ids=["both-written-shape", "other-then-written", "written-then-other"])
+    def test_later_line_of_a_key_wins(self, tmp_path, first, second):
+        path = _write_lines(tmp_path / "llm_cache.jsonl", first, second)
+        assert Gateway(mode="replay", cache_path=path).cache.get("k") == "new"
+
+    @pytest.mark.parametrize("line", ['{"response":"r","key":"k"}',
+                                      '{"key":"k","response":"r"}',
+                                      '  {"key": "k", "response": "r"}',
+                                      '{"key": "k", "response": "r"} '])
+    def test_line_of_another_shape_is_found(self, tmp_path, line):
+        path = _write_lines(tmp_path / "llm_cache.jsonl", line)
+        assert Gateway(mode="replay", cache_path=path).cache.get("k") == "r"
+
+    @pytest.mark.parametrize("key", ["\u00e9t\u00e9", "\ud800"])
+    def test_escaped_key_is_found(self, tmp_path, key):
+        line = json.dumps({"key": key, "response": "r"})
+        path = _write_lines(tmp_path / "llm_cache.jsonl", line)
+        assert Gateway(mode="replay", cache_path=path).cache.get(key) == "r"
+
+    def test_put_overrides_an_undecoded_line(self, tmp_path):
+        req = render_p1("a", "b")
+        path = str(tmp_path / "llm_cache.jsonl")
+        Gateway(mode="record", cache_path=path,
+                transport=lambda r: "first").complete(req)
+        gateway = Gateway(mode="record", cache_path=path,
+                          transport=lambda r: "second")
+        gateway.cache.put(req, "second")
+        assert gateway.complete(req) == "second"
+        assert Gateway(mode="replay", cache_path=path).complete(req) == "second"
+
+    def test_remote_embeddings_replay_unchanged(self, tmp_path):
+        from stancegraph.embed import RemoteEmbeddingProvider
+
+        path = str(tmp_path / "embedding_cache.jsonl")
+        vectors = {"a": [0.1, -2.5, 1e-300], "b": [1 / 3, 0.0, -0.0]}
+
+        def transport(payload):
+            return [vectors[text] for text in payload["input"]]
+
+        def refuse(payload):
+            raise AssertionError("replay called the transport")
+
+        recorded = RemoteEmbeddingProvider(
+            3, "m", cache_path=path, transport=transport).embed_batch(["a", "b"])
+        replayed = RemoteEmbeddingProvider(
+            3, "m", cache_path=path, transport=refuse).embed_batch(["b", "a"])
+        assert [v.tolist() for v in recorded] == [vectors["a"], vectors["b"]]
+        assert [v.tolist() for v in replayed] == [vectors["b"], vectors["a"]]
+        assert np.signbit(replayed[0][2])
