@@ -15,7 +15,7 @@ from .gateway import Gateway, render_p1, render_p2
 from .induce import (induce_library, kmeans, load_library, save_library,
                      select_k, silhouette)
 from .kernel import (augment_graph, backward, build_model, forward,
-                     load_checkpoint, save_checkpoint)
+                     load_checkpoint, prepare, save_checkpoint)
 from .train import AdamW, evaluate, load_dataset, macro_f1, train
 
 __all__ = [
@@ -24,7 +24,8 @@ __all__ = [
     "parse_fol_line", "make_provider", "test_embed", "Gateway", "render_p1",
     "render_p2", "induce_library", "kmeans", "load_library", "save_library",
     "select_k", "silhouette", "augment_graph", "backward", "build_model",
-    "forward", "load_checkpoint", "save_checkpoint", "AdamW", "evaluate",
+    "forward", "load_checkpoint", "prepare", "save_checkpoint", "AdamW",
+    "evaluate",
     "load_dataset", "macro_f1", "train",
 ]
 

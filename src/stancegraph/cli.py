@@ -22,7 +22,7 @@ from .errors import ConfigError, StanceGraphError
 from .gateway import Gateway
 from .induce import SchemaLibrary, induce_library, load_library, save_library
 from .kernel import augment_graph, build_model, forward, load_checkpoint, save_checkpoint
-from .pipeline import file_fingerprint, generate_fol, write_graph_records
+from .pipeline import fingerprint, generate_fol, write_graph_records
 from .train import (LABEL_SETS, LabeledExample, evaluate, load_dataset,
                     load_graph_records, train)
 
@@ -106,11 +106,20 @@ def _augment(examples: list[LabeledExample], library: SchemaLibrary | None,
     return examples
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def _checked_model(checkpoint: str, library_path: str | None, force: bool):
-    """The checkpoint, checked against the library file, and the library."""
-    fingerprint = file_fingerprint(library_path) if library_path else None
-    model = load_checkpoint(checkpoint, library_fingerprint=fingerprint, force=force)
-    return model, load_library(library_path) if library_path else None
+    """The checkpoint, checked against the library file, and the library.
+    The fingerprint and the library come from one read of the file."""
+    if library_path is None:
+        return load_checkpoint(checkpoint, force=force), None
+    data = _read(library_path)
+    model = load_checkpoint(checkpoint, library_fingerprint=fingerprint(data),
+                            force=force)
+    return model, load_library(library_path, data)
 
 
 @_command("generate-fol", "mode", "cache_dir")
@@ -151,7 +160,7 @@ def cmd_induce(cfg, graphs, out) -> None:
     click.echo(f"induced schema library with K={library.k} -> {out}")
 
 
-@_command("train", "seed", "mode", "cache_dir")
+@_command("train", "seed")
 @click.argument("train_graphs", type=click.Path(exists=True))
 @click.argument("dev_graphs", type=click.Path(exists=True))
 @click.argument("library_path", type=click.Path(exists=True))
@@ -164,12 +173,13 @@ def cmd_induce(cfg, graphs, out) -> None:
 @click.option("--patience", type=int, default=None)
 def cmd_train(cfg, train_graphs, dev_graphs, library_path, out, log_out) -> None:
     """Train the kernel model from a schema library."""
-    library = load_library(library_path)
+    data = _read(library_path)
+    library = load_library(library_path, data)
     cfg.dimension = library.dimension
     train_set, dev_set = (_augment(load_graph_records(path, cfg.label_set), library, cfg)
                           for path in (train_graphs, dev_graphs))
     model = build_model(library, cfg, labels=cfg.label_set,
-                        library_fingerprint=file_fingerprint(library_path))
+                        library_fingerprint=fingerprint(data))
     result = train(train_set, dev_set, model, cfg)
     save_checkpoint(result.model, out)
     if log_out:
@@ -180,7 +190,7 @@ def cmd_train(cfg, train_graphs, dev_graphs, library_path, out, log_out) -> None
                f"after {result.epochs_run:.2f} epochs -> {out}")
 
 
-@_command("eval", "mode", "cache_dir")
+@_command("eval")
 @click.argument("graphs", type=click.Path(exists=True))
 @click.argument("checkpoint", type=click.Path(exists=True))
 @click.option("--library", "library_path", type=click.Path(exists=True), default=None)

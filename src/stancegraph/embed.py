@@ -215,8 +215,8 @@ class RemoteEmbeddingProvider(EmbeddingProvider):
                 if len(vec) != self.dimension:
                     raise DimensionMismatchError(
                         f"backend returned d={len(vec)}, expected {self.dimension}")
-            for req, vec in zip(missing.values(), vectors):
-                self.cache.put(req, [float(x) for x in vec])
+            for (key, req), vec in zip(missing.items(), vectors):
+                self.cache.put(key, req, [float(x) for x in vec])
         out = []
         for key in keys:
             vec = np.asarray(self.cache.get(key), dtype=np.float64)

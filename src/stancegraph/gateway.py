@@ -19,6 +19,7 @@ import os
 import re
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
@@ -126,6 +127,7 @@ class _DiskCache:
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
+        self._appender = None                 # opened by the first put
         self._buffer = b""
         # _raw(key) -> offset of its last line, until that line is decoded
         self._offsets: dict[bytes, int] = {}
@@ -173,9 +175,12 @@ class _DiskCache:
                     del self._offsets[raw]
         return self._responses.get(key)
 
-    def put(self, req: PromptRequest, response: Any) -> None:
+    def put(self, key: str, req: PromptRequest, response: Any) -> None:
+        """Append the record of `req` (whose cache key is `key`). The first
+        put makes the directory and opens the file for appending; each put
+        writes its line and flushes it before returning."""
         record = {
-            "key": req.cache_key(),
+            "key": key,
             "template_id": req.template_id,
             "model": req.model_id,
             "temperature": req.temperature,
@@ -185,11 +190,14 @@ class _DiskCache:
         }
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._lock:
-            self._offsets.pop(_raw(record["key"]), None)
-            self._responses[record["key"]] = response
-            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line)
+            self._offsets.pop(_raw(key), None)
+            self._responses[key] = response
+            if self._appender is None:
+                os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+                self._appender = open(self.path, "a", encoding="utf-8")
+                weakref.finalize(self, self._appender.close)
+            self._appender.write(line)
+            self._appender.flush()
 
 
 def http_chat_transport(base_url: Optional[str] = None,
@@ -261,19 +269,17 @@ class Gateway:
         self.backoff = backoff
 
     def complete(self, req: PromptRequest) -> str:
-        if self.mode == "replay":
-            cached = self.cache.get(req.cache_key())
-            if cached is None:
-                raise CacheMissError(
-                    f"no cached response for {req.template_id} key {req.cache_key()[:12]}…")
+        if self.mode == "live":
+            return self._call_with_retries(req)
+        key = req.cache_key()
+        cached = self.cache.get(key)
+        if cached is not None:
             return cached
-        if self.mode == "record":
-            cached = self.cache.get(req.cache_key())
-            if cached is not None:
-                return cached
+        if self.mode == "replay":
+            raise CacheMissError(
+                f"no cached response for {req.template_id} key {key[:12]}…")
         response = self._call_with_retries(req)
-        if self.mode == "record":
-            self.cache.put(req, response)
+        self.cache.put(key, req, response)
         return response
 
     def _call_with_retries(self, req: PromptRequest) -> str:

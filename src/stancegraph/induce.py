@@ -425,10 +425,14 @@ def save_library(library: SchemaLibrary, path: str) -> None:
         fh.write("\n")
 
 
-def load_library(path: str) -> SchemaLibrary:
+def load_library(path: str, data: Optional[bytes] = None) -> SchemaLibrary:
+    """The library saved at `path`; `data`, when given, is that file's
+    bytes, already read."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        if data is None:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        doc = json.loads(data.decode("utf-8"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise SchemaFormatError(f"invalid schema library JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -6,11 +6,14 @@ bank of schema-derived filters with a p-step random-walk kernel
     k(G_v, H) = s^T W (A_sub ⊗ A_filt)^p s,   s = vec(X_sub X_filt^T)
 
 computed via the vec identity ((A ⊗ B) vec(S) = vec(A S B^T) with row-major
-vec), never materializing the Kronecker matrix. One layer of one graph is a
-few batched tensor ops: a 0/1 gather (N, n_sub, N) picks every node's
-subgraph at once, and the walk runs over (N, F, n_sub, n_filt) against the
-layer's stacked filters. Each node keeps its top-g kernel scores as
-features, layers stack, and a summed readout feeds a small ReLU head with
+vec), never materializing the Kronecker matrix. A graph is prepared once
+(`prepare`): its node features and every node's subgraph as node indices
+and a padded adjacency. `forward` and `backward` take a minibatch of graphs
+and concatenate their node rows, so one layer of the whole batch is a few
+batched tensor ops: subgraph features are rows of a zero-padded feature
+matrix, and the walk runs over (N, F, n_sub, n_filt) against the layer's
+stacked filters. Each node keeps its top-g kernel scores as features,
+layers stack, and a per-graph summed readout feeds a small ReLU head with
 softmax. All gradients are hand-derived reverse mode.
 """
 
@@ -21,7 +24,7 @@ import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -62,12 +65,16 @@ class PaddedSubgraph:
 
 @dataclass
 class SubgraphBatch:
-    """Every node's padded k-hop subgraph as one gather: row j of node v's
-    subgraph is graph node node_indices[v, j], so its features are
-    gather[v] @ X and its adjacency is gather[v] A gather[v]^T."""
-    gather: np.ndarray         # (N, n_sub, N) 0/1; padded rows are zero
+    """Every node's padded k-hop subgraph: row j of node v's subgraph is
+    node node_indices[v, j], or a zero row where that is -1, so its
+    features are `_zero_row(X)[node_indices[v]]`."""
     adjacency: np.ndarray      # (N, n_sub, n_sub)
-    node_indices: np.ndarray   # (N, n_sub) graph node ids, -1 when padded
+    node_indices: np.ndarray   # (N, n_sub) node ids, -1 when padded
+
+
+def _zero_row(a: np.ndarray) -> np.ndarray:
+    """`a` with a zero row appended, which index -1 picks."""
+    return np.concatenate([a, np.zeros((1,) + a.shape[1:])])
 
 
 def khop_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int) -> SubgraphBatch:
@@ -86,10 +93,11 @@ def khop_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int) -> SubgraphBatch
     node_indices = np.full((n, n_sub), -1)
     node_indices[:, :order.shape[1]] = np.where(
         np.take_along_axis(dist, order, axis=1) <= hop, order, -1)
-    gather = (node_indices[:, :, None] == np.arange(n)).astype(np.float64)
-    return SubgraphBatch(gather=gather,
-                         adjacency=gather @ adjacency @ gather.transpose(0, 2, 1),
-                         node_indices=node_indices)
+    padded = np.zeros((n + 1, n + 1))           # a zero last row and column
+    padded[:n, :n] = adjacency
+    return SubgraphBatch(
+        adjacency=padded[node_indices[:, :, None], node_indices[:, None, :]],
+        node_indices=node_indices)
 
 
 def khop_subgraph(adjacency: np.ndarray, features: np.ndarray, v: int,
@@ -101,7 +109,7 @@ def khop_subgraph(adjacency: np.ndarray, features: np.ndarray, v: int,
     batch = khop_subgraphs(adjacency, hop, n_sub)
     indices = batch.node_indices[v]
     return PaddedSubgraph(adjacency=batch.adjacency[v],
-                          features=batch.gather[v] @ features,
+                          features=_zero_row(features)[indices],
                           valid_count=int((indices >= 0).sum()),
                           node_indices=indices[indices >= 0].tolist())
 
@@ -267,10 +275,48 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
 # Forward / backward
 
 @dataclass
+class PreparedGraph:
+    """What the kernel reads from one graph that no parameter changes: the
+    node features and, for each (hop, n_sub) the model's layers use, every
+    node's subgraph. Built once per graph by `prepare`; every forward and
+    backward pass over the graph reuses it."""
+    features: np.ndarray                              # (N, d)
+    subgraphs: dict[tuple[int, int], SubgraphBatch]
+
+
+def prepare(graph: FolGraph, model: Model) -> PreparedGraph:
+    """`graph` as `forward` and `backward` read it under `model`'s relation
+    weights and layer shapes."""
+    if not graph.nodes:
+        raise ShapeMismatchError("cannot run forward on an empty graph")
+    X = np.stack([np.asarray(n.embedding, dtype=np.float64) for n in graph.nodes])
+    if X.shape[1] != model.dimension:
+        raise DimensionMismatchError(
+            f"graph embedding d={X.shape[1]}, model d={model.dimension}")
+    adjacency = graph_adjacency(graph, model.relation_weights)
+    return PreparedGraph(features=X, subgraphs={
+        key: khop_subgraphs(adjacency, *key)
+        for key in {(layer.hop, layer.n_sub) for layer in model.layers}})
+
+
+def _batch_subgraphs(batch: list[PreparedGraph], key: tuple[int, int],
+                     offsets: list[int]) -> SubgraphBatch:
+    """The batch's subgraphs for `key`, over its concatenated node rows."""
+    parts = [graph.subgraphs[key] for graph in batch]
+    if len(parts) == 1:
+        return parts[0]
+    return SubgraphBatch(
+        adjacency=np.concatenate([part.adjacency for part in parts]),
+        node_indices=np.concatenate([
+            np.where(part.node_indices >= 0, part.node_indices + start, -1)
+            for part, start in zip(parts, offsets)]))
+
+
+@dataclass
 class LayerCache:
-    """One layer's forward state for one graph of N nodes."""
-    subgraphs: SubgraphBatch
-    sub_feat: np.ndarray                 # (N, n_sub, f) = gather @ X
+    """One layer's forward state over a batch's N node rows."""
+    subgraphs: SubgraphBatch             # node_indices are batch node rows
+    sub_feat: np.ndarray                 # (N, n_sub, f)
     steps: list[np.ndarray]              # S_0 .. S_p, each (N, F, n_sub, n_filt)
     scores: np.ndarray                   # (N, F)
     selected: np.ndarray                 # (N, g) filter indices, ascending
@@ -278,6 +324,10 @@ class LayerCache:
 
 @dataclass
 class ForwardCache:
+    """A minibatch's forward state. The node rows of graph b are
+    offsets[b]:offsets[b + 1] of every per-node array; phi .. probabilities
+    have one row per graph, or no batch axis for a single FolGraph."""
+    offsets: list[int]                   # B + 1 node row boundaries
     layer_inputs: list[np.ndarray]       # X_0 .. X_L (layer_inputs[l] feeds layer l)
     layers: list[LayerCache]
     phi: np.ndarray
@@ -288,21 +338,24 @@ class ForwardCache:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+    """Softmax over the last axis."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum()
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def layer_forward(adjacency: np.ndarray, features: np.ndarray,
-                  layer: KernelLayerParams,
-                  subgraphs: Optional[SubgraphBatch] = None
-                  ) -> tuple[np.ndarray, LayerCache]:
-    """Per-node kernel features: all-filter scores, top-g selection, the
-    selected kernel values in filter-index order. The cache feeds backward;
-    `subgraphs` lets layers with the same hop and n_sub share one gather."""
-    if subgraphs is None:
-        subgraphs = khop_subgraphs(adjacency, layer.hop, layer.n_sub)
-    sub_feat = subgraphs.gather @ features
+def _matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ v for each row v of `rows`, as one matrix-vector product
+    per row (the BLAS call of `matrix @ v` on one 1-D v)."""
+    return (matrix @ rows[:, :, None])[:, :, 0]
+
+
+def layer_forward(features: np.ndarray, subgraphs: SubgraphBatch,
+                  layer: KernelLayerParams) -> tuple[np.ndarray, LayerCache]:
+    """Per-node kernel features of node rows `features` (N, f) whose
+    subgraphs are `subgraphs`: all-filter scores, top-g selection, the
+    selected kernel values in filter-index order. The cache feeds backward."""
+    sub_feat = _zero_row(features)[subgraphs.node_indices]
     steps = _walk(sub_feat[:, None], subgraphs.adjacency[:, None],
                   layer.filter_feats, layer.filter_adjs, layer.p)
     scores, _ = _kernel_values(steps[0], steps[-1], layer.W)
@@ -320,31 +373,41 @@ def readout(layer_inputs: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([lf.sum(axis=0) for lf in layer_inputs])
 
 
-def forward(graph: FolGraph, model: Model) -> ForwardCache:
-    if not graph.nodes:
-        raise ShapeMismatchError("cannot run forward on an empty graph")
-    X = np.stack([np.asarray(n.embedding, dtype=np.float64) for n in graph.nodes])
-    if X.shape[1] != model.dimension:
-        raise DimensionMismatchError(
-            f"graph embedding d={X.shape[1]}, model d={model.dimension}")
-    adjacency = graph_adjacency(graph, model.relation_weights)
-    layer_inputs = [X]
+def forward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
+            model: Model) -> ForwardCache:
+    """The model over a minibatch of graphs, each a FolGraph or a
+    PreparedGraph. Node rows of all graphs are concatenated, so every layer
+    runs once for the batch; per-node and per-pair results are
+    bit-identical to running each graph alone. A single FolGraph is a
+    batch of one."""
+    single = isinstance(graphs, FolGraph)
+    batch = [graph if isinstance(graph, PreparedGraph) else prepare(graph, model)
+             for graph in ([graphs] if single else graphs)]
+    if not batch:
+        raise ShapeMismatchError("cannot run forward on an empty batch")
+    offsets = [0]
+    for graph in batch:
+        offsets.append(offsets[-1] + len(graph.features))
+    subgraphs = {key: _batch_subgraphs(batch, key, offsets)
+                 for key in batch[0].subgraphs}
+    layer_inputs = [np.concatenate([graph.features for graph in batch])]
     layer_caches: list[LayerCache] = []
-    gathers = {key: khop_subgraphs(adjacency, *key)
-               for key in {(layer.hop, layer.n_sub) for layer in model.layers}}
     for layer in model.layers:
-        out, layer_cache = layer_forward(adjacency, layer_inputs[-1], layer,
-                                         gathers[layer.hop, layer.n_sub])
+        out, layer_cache = layer_forward(
+            layer_inputs[-1], subgraphs[layer.hop, layer.n_sub], layer)
         layer_caches.append(layer_cache)
         layer_inputs.append(out)
 
-    phi = readout(layer_inputs)
-    pre_hidden = model.W_h @ phi + model.b_h
+    # one slice sum per graph: np.add.reduceat sums in another order
+    phi = np.stack([readout([lf[start:end] for lf in layer_inputs])
+                    for start, end in zip(offsets[:-1], offsets[1:])])
+    pre_hidden = _matvec(model.W_h, phi) + model.b_h
     hidden = np.maximum(pre_hidden, 0.0)
-    logits = model.W_o @ hidden + model.b_o
-    return ForwardCache(layer_inputs=layer_inputs, layers=layer_caches,
-                        phi=phi, pre_hidden=pre_hidden, hidden=hidden,
-                        logits=logits, probabilities=softmax(logits))
+    logits = _matvec(model.W_o, hidden) + model.b_o
+    head = (phi, pre_hidden, hidden, logits, softmax(logits))
+    if single:
+        head = tuple(rows[0] for rows in head)
+    return ForwardCache(offsets, layer_inputs, layer_caches, *head)
 
 
 def cross_entropy(probabilities: np.ndarray, gold_index: int) -> float:
@@ -352,77 +415,123 @@ def cross_entropy(probabilities: np.ndarray, gold_index: int) -> float:
 
 
 def _pair_backward(upstream: np.ndarray, steps: list[np.ndarray],
-                   sub_feat: np.ndarray, sub_adj: np.ndarray,
-                   filt_feat: np.ndarray, filt_adj: np.ndarray,
-                   W: np.ndarray) -> tuple[np.ndarray, ...]:
+                   sub_adj: np.ndarray, filt_adj: np.ndarray,
+                   W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per (node, filter) pair, stacked on axis 0, the gradients of
-    upstream * k w.r.t. W, the filter features and adjacency, and the
-    subgraph features."""
+    upstream * k w.r.t. S_0 and w.r.t. the filter adjacency."""
     n_pairs, n, m = steps[0].shape
     u = upstream[:, None]
     s0 = steps[0].reshape(n_pairs, n * m)
     _, w_sp = _kernel_values(steps[0], steps[-1], W)
-    g_s0 = u * w_sp
     if W.ndim == 1:
-        g_w = u * s0 * steps[-1].reshape(n_pairs, n * m)
         g_sp = u * (W * s0)
     else:
-        g_w = s0[:, :, None] * steps[-1].reshape(n_pairs, 1, n * m)
-        g_w *= u[:, :, None]                       # in place: (P, q, q) is large
         g_sp = u * (W.T @ s0[..., None])[..., 0]
     G = g_sp.reshape(n_pairs, n, m)
     g_adj = np.zeros_like(filt_adj)
     for r in range(len(steps) - 1, 0, -1):
         g_adj += np.swapaxes(G, -1, -2) @ sub_adj @ steps[r - 1]
         G = np.swapaxes(sub_adj, -1, -2) @ G @ filt_adj    # back to S_{r-1}
-    G0 = G + g_s0.reshape(n_pairs, n, m)
-    return g_w, np.swapaxes(G0, -1, -2) @ sub_feat, g_adj, G0 @ filt_feat
+    return G + (u * w_sp).reshape(n_pairs, n, m), g_adj
 
 
-def backward(graph: FolGraph, model: Model, gold_index: int,
+def _w_grad(upstream: np.ndarray, s0: np.ndarray, sp: np.ndarray,
+            W: np.ndarray) -> np.ndarray:
+    """The gradient of sum_i upstream_i * k_i w.r.t. W, summed in pair order
+    over pairs with flattened walk ends s0, sp (P, q)."""
+    u = upstream[:, None]
+    if W.ndim == 1:
+        return (u * s0 * sp).sum(axis=0)
+    outer = s0[:, :, None] * sp[:, None, :]
+    outer *= u[:, :, None]                     # in place: (P, q, q) is large
+    return outer.sum(axis=0)
+
+
+def _scatter(values: np.ndarray, index: np.ndarray, length: int) -> np.ndarray:
+    """out[index[i]] += values[i] for each i in order, onto zeros of
+    (length, *row shape): np.bincount adds its weights in input order (and
+    gives int64 zeros when there are none)."""
+    width = int(np.prod(values.shape[1:]))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=length * width)
+    return out.astype(np.float64, copy=False).reshape(length, *values.shape[1:])
+
+
+def _sum_graphs(per_graph: list[np.ndarray]) -> np.ndarray:
+    """Per-graph gradients added onto zeros in batch order."""
+    total = np.zeros_like(per_graph[0])
+    for part in per_graph:
+        total += part
+    return total
+
+
+def backward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
+             model: Model, gold_index: Union[int, Sequence[int]],
              cache: Optional[ForwardCache]) -> "OrderedDict[str, np.ndarray]":
-    """Exact reverse-mode gradients of the cross-entropy loss. Top-g
-    selection is treated as constant (gradients flow only through the
-    selected filters). Pair gradients are summed in (node, selected slot)
-    order, the order of a loop over pairs."""
+    """Exact reverse-mode gradients of the cross-entropy loss of each graph
+    of the minibatch that `forward` ran on (`gold_index`: one class per
+    graph, or one int for a single FolGraph), summed per graph and then
+    across graphs in batch order. Top-g selection is treated as constant
+    (gradients flow only through the selected filters). Within a graph,
+    pair gradients are summed in (node, selected slot) order, the order of
+    a loop over pairs."""
     if cache is None:
         raise StaleCacheError("backward requires the forward cache")
-    d_logits = cache.probabilities - np.eye(len(cache.probabilities))[gold_index]
-    d_pre = (model.W_o.T @ d_logits) * (cache.pre_hidden > 0)
+    golds = np.atleast_1d(gold_index)
+    probabilities, pre_hidden, hidden, phi = (np.atleast_2d(rows) for rows in (
+        cache.probabilities, cache.pre_hidden, cache.hidden, cache.phi))
+    n_graphs, n_rows = len(golds), cache.offsets[-1]
+    d_logits = probabilities - np.eye(probabilities.shape[1])[golds]
+    d_pre = _matvec(model.W_o.T, d_logits) * (pre_hidden > 0)
 
     # split readout gradient back into per-layer summed-feature segments
     widths = [lf.shape[1] for lf in cache.layer_inputs]
-    segments = np.split(model.W_h.T @ d_pre, np.cumsum(widths)[:-1])
+    segments = np.split(_matvec(model.W_h.T, d_pre), np.cumsum(widths)[:-1],
+                        axis=1)
 
     # d_X starts from the readout contribution of the deepest layer and is
     # augmented with kernel contributions while walking layers top-down;
     # the gradient w.r.t. the frozen node embeddings is never formed
-    n_nodes = cache.layer_inputs[0].shape[0]
-    d_X = np.tile(segments[-1], (n_nodes, 1))
+    node_graph = np.repeat(np.arange(n_graphs), np.diff(cache.offsets))
+    d_X = segments[-1][node_graph]
     grad_layers: list[KernelLayerParams] = []
     for li in range(len(model.layers) - 1, -1, -1):
         layer, lc = model.layers[li], cache.layers[li]
         nodes, slots = np.nonzero(d_X)
         filters = lc.selected[nodes, slots]
-        g_w, g_feat, g_adj, g_sub = _pair_backward(
-            d_X[nodes, slots], [s[nodes, filters] for s in lc.steps],
-            lc.sub_feat[nodes], lc.subgraphs.adjacency[nodes],
-            layer.filter_feats[filters], layer.filter_adjs[filters], layer.W)
-        feats = np.zeros_like(layer.filter_feats)
-        adjs = np.zeros_like(layer.filter_adjs)
-        np.add.at(feats, filters, g_feat)
-        np.add.at(adjs, filters, g_adj)
-        grad_layers.insert(0, replace(layer, filter_feats=feats,
-                                      filter_adjs=adjs, W=g_w.sum(axis=0)))
+        upstream = d_X[nodes, slots]
+        steps = [s[nodes, filters] for s in lc.steps]
+        G0, g_adj = _pair_backward(
+            upstream, steps, lc.subgraphs.adjacency[nodes],
+            layer.filter_adjs[filters], layer.W)
+        # sum over each graph's pairs; (P, q, q) and (P, n_filt, f)
+        # temporaries stay one graph's size
+        q = layer.n_sub * layer.n_filt
+        s0, sp = (step.reshape(len(nodes), q) for step in (steps[0], steps[-1]))
+        bounds = np.searchsorted(node_graph[nodes], np.arange(n_graphs + 1))
+        w_grads, feat_grads, adj_grads = [], [], []
+        for pairs in map(slice, bounds[:-1], bounds[1:]):
+            w_grads.append(_w_grad(upstream[pairs], s0[pairs], sp[pairs], layer.W))
+            g_feat = np.swapaxes(G0[pairs], -1, -2) @ lc.sub_feat[nodes[pairs]]
+            feat_grads.append(_scatter(g_feat, filters[pairs], layer.n_filters))
+            adj_grads.append(_scatter(g_adj[pairs], filters[pairs], layer.n_filters))
+        grad_layers.insert(0, replace(layer, filter_feats=_sum_graphs(feat_grads),
+                                      filter_adjs=_sum_graphs(adj_grads),
+                                      W=_sum_graphs(w_grads)))
         if li:
-            # scatter through the gather's transpose: row j of pair i lands
-            # on graph node node_indices[nodes[i], j]
+            # scatter through the subgraphs: row j of pair i lands on node
+            # row node_indices[nodes[i], j], after the readout term
+            g_sub = G0 @ layer.filter_feats[filters]
             rows = lc.subgraphs.node_indices[nodes]
-            d_X = np.tile(segments[li], (n_nodes, 1))
-            np.add.at(d_X, rows[rows >= 0], g_sub[rows >= 0])
+            d_X = _scatter(np.concatenate([segments[li][node_graph],
+                                           g_sub[rows >= 0]]),
+                           np.concatenate([np.arange(n_rows), rows[rows >= 0]]),
+                           n_rows)
     return replace(model, layers=grad_layers,
-                   W_h=np.outer(d_pre, cache.phi), b_h=d_pre,
-                   W_o=np.outer(d_logits, cache.hidden), b_o=d_logits).parameters()
+                   W_h=_sum_graphs(d_pre[:, :, None] * phi[:, None, :]),
+                   b_h=_sum_graphs(d_pre),
+                   W_o=_sum_graphs(d_logits[:, :, None] * hidden[:, None, :]),
+                   b_o=_sum_graphs(d_logits)).parameters()
 
 
 # ---------------------------------------------------------------------------

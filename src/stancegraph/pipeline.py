@@ -98,9 +98,11 @@ def write_graph_records(examples: list[LabeledExample], path: str,
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def fingerprint(data: bytes) -> str:
+    """The fingerprint of a file whose bytes are `data`."""
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
 def file_fingerprint(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()[:16]
+        return fingerprint(fh.read())

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional, Union
 
 import numpy as np
 
@@ -14,7 +14,8 @@ from .errors import (BadHeaderError, BadLabelError, CacheFormatError,
                      EmptySetError, LengthMismatchError, NonFiniteLossError)
 from .fol import FolGraph
 from .gateway import read_jsonl_cache
-from .kernel import (Model, backward, clone_model, cross_entropy, forward)
+from .kernel import (Model, PreparedGraph, backward, clone_model,
+                     cross_entropy, forward, prepare)
 
 LABEL_SETS = {
     "favor-against-none": ["Favor", "Against", "None"],
@@ -28,7 +29,7 @@ class LabeledExample:
     target: str
     label: str
     rationale: str = ""
-    graph: Optional[FolGraph] = None
+    graph: Optional[Union[FolGraph, PreparedGraph]] = None  # prepared in train()
     llm_stance: Optional[str] = None
 
 
@@ -155,33 +156,49 @@ class TrainResult:
     epochs_run: float
 
 
-def _batch_loss_and_grads(model: Model, batch: list[LabeledExample]) -> tuple[float, dict, int]:
-    grads = model.zero_grads()
-    total = 0.0
-    correct = 0
+# Forward-only passes (dataset_loss, evaluate) run this many graphs per
+# forward call, so their memory does not grow with the dataset.
+FORWARD_CHUNK = 16
+
+
+def _batch_loss_and_grads(model: Model, batch: list[LabeledExample]) -> tuple[float, dict]:
+    """Mean loss and gradients of one minibatch, one forward and one
+    backward call; the gradients are summed per example, then across
+    examples in batch order, then divided by the batch size."""
     label_index = {label: i for i, label in enumerate(model.labels)}
-    for ex in batch:
-        cache = forward(ex.graph, model)
-        gold = label_index[ex.label]
-        total += cross_entropy(cache.probabilities, gold)
-        if int(np.argmax(cache.probabilities)) == gold:
-            correct += 1
-        ex_grads = backward(ex.graph, model, gold, cache)
-        for name in grads:
-            grads[name] += ex_grads[name]
+    golds = [label_index[ex.label] for ex in batch]
+    graphs = [ex.graph for ex in batch]
+    cache = forward(graphs, model)
+    total = 0.0
+    for probabilities, gold in zip(cache.probabilities, golds):
+        total += cross_entropy(probabilities, gold)
+    grads = backward(graphs, model, golds, cache)
     for name in grads:
         grads[name] /= len(batch)
-    return total / len(batch), grads, correct
+    return total / len(batch), grads
+
+
+def _forward_only(model: Model, examples: list[LabeledExample]):
+    """(example, probabilities, layer-0 selected filters) per example, from
+    one forward call per FORWARD_CHUNK examples. Only those results outlive
+    the call, so one chunk's cache is alive at a time."""
+    for start in range(0, len(examples), FORWARD_CHUNK):
+        chunk = examples[start:start + FORWARD_CHUNK]
+        cache = forward([ex.graph for ex in chunk], model)
+        rows, offsets, selected = (cache.probabilities, cache.offsets,
+                                   cache.layers[0].selected)
+        del cache
+        for b, ex in enumerate(chunk):
+            yield ex, rows[b], selected[offsets[b]:offsets[b + 1]]
 
 
 def dataset_loss(model: Model, examples: list[LabeledExample]) -> tuple[float, list[str]]:
     label_index = {label: i for i, label in enumerate(model.labels)}
     total = 0.0
     preds = []
-    for ex in examples:
-        cache = forward(ex.graph, model)
-        total += cross_entropy(cache.probabilities, label_index[ex.label])
-        preds.append(model.labels[int(np.argmax(cache.probabilities))])
+    for ex, probabilities, _ in _forward_only(model, examples):
+        total += cross_entropy(probabilities, label_index[ex.label])
+        preds.append(model.labels[int(np.argmax(probabilities))])
     return total / len(examples), preds
 
 
@@ -190,11 +207,15 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
           f1_mode: str = "all_classes") -> TrainResult:
     """Mini-batch training with sub-epoch validation, lowest-dev-loss
     checkpointing, and patience counted in consecutive non-improving
-    validations. patience <= 0 disables early stopping."""
+    validations. patience <= 0 disables early stopping. Every graph is
+    prepared once, and each minibatch is one forward and one backward
+    call."""
     if not train_set:
         raise EmptySetError("empty training set")
     if not dev_set:
         raise EmptySetError("empty dev set")
+    train_set, dev_set = ([replace(ex, graph=prepare(ex.graph, model)) for ex in examples]
+                          for examples in (train_set, dev_set))
     rng = np.random.default_rng(cfg.seed)
     optimizer = AdamW(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay)
     steps_per_epoch = max(1, math.ceil(len(train_set) / cfg.batch_size))
@@ -211,7 +232,7 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
         order = rng.permutation(len(train_set))
         for start in range(0, len(train_set), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            loss, grads, _ = _batch_loss_and_grads(model, batch)
+            loss, grads = _batch_loss_and_grads(model, batch)
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss at step {step}", batch_index=start // cfg.batch_size)
@@ -254,20 +275,18 @@ def evaluate(test_set: list[LabeledExample], model: Model,
     selected-filter trace (layer-1 top-g indices per node) per example."""
     if not test_set:
         raise EmptySetError("empty test set")
-    label_index = {label: i for i, label in enumerate(model.labels)}
     predictions = []
     preds = []
-    for ex in test_set:
-        cache = forward(ex.graph, model)
-        pred = model.labels[int(np.argmax(cache.probabilities))]
+    for ex, probabilities, selected in _forward_only(model, test_set):
+        pred = model.labels[int(np.argmax(probabilities))]
         preds.append(pred)
         predictions.append({
             "text": ex.text,
             "target": ex.target,
             "gold": ex.label,
             "pred": pred,
-            "probabilities": [round(float(p), 10) for p in cache.probabilities],
-            "selected_filters": cache.layers[0].selected.tolist(),
+            "probabilities": [round(float(p), 10) for p in probabilities],
+            "selected_filters": selected.tolist(),
         })
     golds = [ex.label for ex in test_set]
     metrics = {mode: macro_f1(preds, golds, mode, model.labels) for mode in modes}

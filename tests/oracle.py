@@ -3,6 +3,7 @@ one-item views of the package's batched code that only the tests need."""
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -10,7 +11,8 @@ from stancegraph.embed import fnv1a64
 from stancegraph.errors import (DimensionMismatchError, ParseError,
                                 StanceGraphError)
 from stancegraph.fol import Connective, FolExpr, Predicate
-from stancegraph.kernel import PaddedSubgraph, _kernel_values, _topg, _walk
+from stancegraph.kernel import (PaddedSubgraph, _kernel_values, _topg, _walk,
+                                cross_entropy, graph_adjacency, khop_subgraphs)
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,6 +55,133 @@ def bfs_subgraph_order(adjacency: np.ndarray, v: int, hop: int,
         order.extend(frontier)
         seen.update(frontier)
     return order[:n_sub]
+
+
+def _gather_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int):
+    """Every node's subgraph as a 0/1 gather matrix P (N, n_sub, N): the
+    features are P X and the adjacencies P A P^T."""
+    node_indices = khop_subgraphs(adjacency, hop, n_sub).node_indices
+    gather = (node_indices[:, :, None] == np.arange(len(adjacency))
+              ).astype(np.float64)
+    return SimpleNamespace(gather=gather, node_indices=node_indices,
+                           adjacency=gather @ adjacency @ gather.transpose(0, 2, 1))
+
+
+def gather_forward(graph, model):
+    """One graph through the model on its own, with gather matmuls for
+    the subgraphs and a 1-D head: the minibatch engine's reference."""
+    X = np.stack([np.asarray(n.embedding, dtype=np.float64) for n in graph.nodes])
+    adjacency = graph_adjacency(graph, model.relation_weights)
+    gathers = {key: _gather_subgraphs(adjacency, *key)
+               for key in {(layer.hop, layer.n_sub) for layer in model.layers}}
+    layer_inputs, layers = [X], []
+    for layer in model.layers:
+        sub = gathers[layer.hop, layer.n_sub]
+        sub_feat = sub.gather @ layer_inputs[-1]
+        steps = _walk(sub_feat[:, None], sub.adjacency[:, None],
+                      layer.filter_feats, layer.filter_adjs, layer.p)
+        scores, _ = _kernel_values(steps[0], steps[-1], layer.W)
+        selected = _topg(scores, layer.g)
+        layers.append(SimpleNamespace(subgraphs=sub, sub_feat=sub_feat,
+                                      steps=steps, selected=selected))
+        layer_inputs.append(np.take_along_axis(scores, selected, axis=1))
+    phi = np.concatenate([lf.sum(axis=0) for lf in layer_inputs])
+    pre_hidden = model.W_h @ phi + model.b_h
+    hidden = np.maximum(pre_hidden, 0.0)
+    logits = model.W_o @ hidden + model.b_o
+    exp = np.exp(logits - np.max(logits))
+    return SimpleNamespace(layer_inputs=layer_inputs, layers=layers, phi=phi,
+                           pre_hidden=pre_hidden, hidden=hidden,
+                           probabilities=exp / exp.sum())
+
+
+def _gather_pair_backward(upstream, steps, sub_feat, sub_adj, filt_feat,
+                          filt_adj, W):
+    """Per (node, filter) pair, the gradients of upstream * k w.r.t. W, the
+    filter features and adjacency, and the subgraph features."""
+    n_pairs, n, m = steps[0].shape
+    u = upstream[:, None]
+    s0 = steps[0].reshape(n_pairs, n * m)
+    _, w_sp = _kernel_values(steps[0], steps[-1], W)
+    g_s0 = u * w_sp
+    if W.ndim == 1:
+        g_w = u * s0 * steps[-1].reshape(n_pairs, n * m)
+        g_sp = u * (W * s0)
+    else:
+        g_w = s0[:, :, None] * steps[-1].reshape(n_pairs, 1, n * m)
+        g_w *= u[:, :, None]
+        g_sp = u * (W.T @ s0[..., None])[..., 0]
+    G = g_sp.reshape(n_pairs, n, m)
+    g_adj = np.zeros_like(filt_adj)
+    for r in range(len(steps) - 1, 0, -1):
+        g_adj += np.swapaxes(G, -1, -2) @ sub_adj @ steps[r - 1]
+        G = np.swapaxes(sub_adj, -1, -2) @ G @ filt_adj
+    G0 = G + g_s0.reshape(n_pairs, n, m)
+    return g_w, np.swapaxes(G0, -1, -2) @ sub_feat, g_adj, G0 @ filt_feat
+
+
+def gather_backward(model, gold, cache):
+    """gather_forward's gradients: pair gradients added into each filter
+    with np.add.at in (node, selected slot) order."""
+    d_logits = cache.probabilities - np.eye(len(cache.probabilities))[gold]
+    d_pre = (model.W_o.T @ d_logits) * (cache.pre_hidden > 0)
+    widths = [lf.shape[1] for lf in cache.layer_inputs]
+    segments = np.split(model.W_h.T @ d_pre, np.cumsum(widths)[:-1])
+    n_nodes = cache.layer_inputs[0].shape[0]
+    d_X = np.tile(segments[-1], (n_nodes, 1))
+    grad_layers = []
+    for li in range(len(model.layers) - 1, -1, -1):
+        layer, lc = model.layers[li], cache.layers[li]
+        nodes, slots = np.nonzero(d_X)
+        filters = lc.selected[nodes, slots]
+        g_w, g_feat, g_adj, g_sub = _gather_pair_backward(
+            d_X[nodes, slots], [s[nodes, filters] for s in lc.steps],
+            lc.sub_feat[nodes], lc.subgraphs.adjacency[nodes],
+            layer.filter_feats[filters], layer.filter_adjs[filters], layer.W)
+        feats = np.zeros_like(layer.filter_feats)
+        adjs = np.zeros_like(layer.filter_adjs)
+        np.add.at(feats, filters, g_feat)
+        np.add.at(adjs, filters, g_adj)
+        grad_layers.insert(0, replace(layer, filter_feats=feats,
+                                      filter_adjs=adjs, W=g_w.sum(axis=0)))
+        if li:
+            rows = lc.subgraphs.node_indices[nodes]
+            d_X = np.tile(segments[li], (n_nodes, 1))
+            np.add.at(d_X, rows[rows >= 0], g_sub[rows >= 0])
+    return replace(model, layers=grad_layers,
+                   W_h=np.outer(d_pre, cache.phi), b_h=d_pre,
+                   W_o=np.outer(d_logits, cache.hidden), b_o=d_logits).parameters()
+
+
+def loop_batch_loss_and_grads(model, batch):
+    """A minibatch's mean loss and gradients from gather_forward and
+    gather_backward per example, gradients added onto zeros in example
+    order and then divided by the batch size."""
+    label_index = {label: i for i, label in enumerate(model.labels)}
+    grads = model.zero_grads()
+    total = 0.0
+    for ex in batch:
+        gold = label_index[ex.label]
+        cache = gather_forward(ex.graph, model)
+        total += cross_entropy(cache.probabilities, gold)
+        ex_grads = gather_backward(model, gold, cache)
+        for name in grads:
+            grads[name] += ex_grads[name]
+    for name in grads:
+        grads[name] /= len(batch)
+    return total / len(batch), grads
+
+
+def loop_dataset_loss(model, examples):
+    """Mean loss and predicted labels from gather_forward per example."""
+    label_index = {label: i for i, label in enumerate(model.labels)}
+    total = 0.0
+    preds = []
+    for ex in examples:
+        probabilities = gather_forward(ex.graph, model).probabilities
+        total += cross_entropy(probabilities, label_index[ex.label])
+        preds.append(model.labels[int(np.argmax(probabilities))])
+    return total / len(examples), preds
 
 
 def loop_silhouette(points: np.ndarray, assignments: np.ndarray) -> float:

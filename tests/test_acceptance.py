@@ -230,10 +230,12 @@ def test_criterion_08_replay_determinism(tmp_path):
             (out_dir / f"{n}.graphs.jsonl").read_text()
             for n in ("train", "dev", "test")))
         cli("induce", *common, str(merged), str(out_dir / "library.json"))
-        cli("train", *common, str(out_dir / "train.graphs.jsonl"),
+        cli("train", "--config", str(config_path),
+            str(out_dir / "train.graphs.jsonl"),
             str(out_dir / "dev.graphs.jsonl"), str(out_dir / "library.json"),
             str(out_dir / "model.json"))
-        cli("eval", *common, str(out_dir / "test.graphs.jsonl"),
+        cli("eval", "--config", str(config_path),
+            str(out_dir / "test.graphs.jsonl"),
             str(out_dir / "model.json"), "--library",
             str(out_dir / "library.json"),
             "--metrics-out", str(out_dir / "metrics.json"))

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline over the committed replay fixture."""
 
+import builtins
 import csv
 import json
 import re
@@ -69,10 +70,11 @@ def pipeline(workdir, config_path):
                 out.write(part.read())
     result = _run(["induce", *common, paths["all_graphs"], paths["library"]])
     assert result.exit_code == 0, result.output
-    result = _run(["train", *common, paths["train_graphs"],
+    result = _run(["train", "--config", config_path, paths["train_graphs"],
                    paths["dev_graphs"], paths["library"], paths["checkpoint"]])
     assert result.exit_code == 0, result.output
-    result = _run(["eval", *common, paths["test_graphs"], paths["checkpoint"],
+    result = _run(["eval", "--config", config_path, paths["test_graphs"],
+                   paths["checkpoint"],
                    "--library", paths["library"],
                    "--metrics-out", paths["metrics"],
                    "--predictions-out", paths["predictions"]])
@@ -119,6 +121,29 @@ class TestPipeline:
         doc = json.loads(result.output)
         assert abs(sum(doc["probabilities"]) - 1.0) < 1e-8
         assert doc["pred"] in ("Favor", "Against", "None")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_library_file_is_read_once(self, pipeline, config_path,
+                                       monkeypatch, command):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if file == pipeline["library"]:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        if command == "predict":
+            with open(DATA_DIR / "train.csv", encoding="utf-8", newline="") as fh:
+                row = next(csv.DictReader(fh))
+            args = [*pipeline["common"], row["text"], row["target"]]
+        else:
+            args = ["--config", config_path, pipeline["test_graphs"]]
+        result = _run([command, *args, pipeline["checkpoint"],
+                       "--library", pipeline["library"]])
+        assert result.exit_code == 0, result.output
+        assert len(opened) == 1
 
     def test_inspect_lists_every_schema(self, pipeline):
         result = _run(["inspect", pipeline["library"]])
@@ -181,12 +206,13 @@ class TestErrorPaths:
         assert result.exit_code != 0
         assert "no cached response" in result.output
 
-    def test_eval_fingerprint_mismatch_needs_force(self, pipeline, tmp_path):
+    def test_eval_fingerprint_mismatch_needs_force(self, pipeline, config_path,
+                                                   tmp_path):
         other_library = tmp_path / "other-library.json"
         doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
         doc["seed"] = 999
         other_library.write_text(json.dumps(doc, sort_keys=True))
-        args = ["eval", *pipeline["common"], pipeline["test_graphs"],
+        args = ["eval", "--config", config_path, pipeline["test_graphs"],
                 pipeline["checkpoint"], "--library", str(other_library)]
         result = CliRunner().invoke(main, args)
         assert result.exit_code != 0
@@ -236,14 +262,17 @@ class TestErrorPaths:
         assert f"{path}: line 1" in result.output
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
-    def test_torn_checkpoint_fails_without_traceback(self, pipeline, tmp_path,
+    def test_torn_checkpoint_fails_without_traceback(self, pipeline,
+                                                     config_path, tmp_path,
                                                      command):
         checkpoint = tmp_path / "model.json"
         text = open(pipeline["checkpoint"], encoding="utf-8").read()
         checkpoint.write_text(text[: len(text) // 2])
         inputs = (["some text", "some target"] if command == "predict"
                   else [pipeline["test_graphs"]])
-        result = CliRunner().invoke(main, [command, *pipeline["common"],
+        flags = (pipeline["common"] if command == "predict"
+                 else ["--config", config_path])
+        result = CliRunner().invoke(main, [command, *flags,
                                            *inputs, str(checkpoint)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception

@@ -21,11 +21,11 @@ PARAMS = {
                      "label_set"],
     "induce": ["config_path", "seed", "mode", "cache_dir", "graphs", "out",
                "k_fixed", "label_set"],
-    "train": ["config_path", "seed", "mode", "cache_dir", "train_graphs",
-              "dev_graphs", "library_path", "out", "label_set", "log_out",
-              "n_filters", "max_epochs", "learning_rate", "patience"],
-    "eval": ["config_path", "mode", "cache_dir", "graphs", "checkpoint",
-             "library_path", "metrics_out", "predictions_out", "force"],
+    "train": ["config_path", "seed", "train_graphs", "dev_graphs",
+              "library_path", "out", "label_set", "log_out", "n_filters",
+              "max_epochs", "learning_rate", "patience"],
+    "eval": ["config_path", "graphs", "checkpoint", "library_path",
+             "metrics_out", "predictions_out", "force"],
     "predict": ["config_path", "mode", "cache_dir", "text", "target",
                 "checkpoint", "library_path", "force"],
     "inspect": ["library_path", "as_json"],
@@ -43,7 +43,7 @@ class TestFlagSets:
     def test_shared_flag_slots(self):
         slots = sum(p.name in SHARED for cmd in main.commands.values()
                     for p in cmd.params)
-        assert slots == 17
+        assert slots == 13
 
     def test_label_set_flag_sets_the_labels(self, tmp_path):
         result = CliRunner().invoke(main, [

@@ -1,6 +1,8 @@
 """Prompt rendering and the record/replay completion gateway."""
 
 import json
+import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -306,7 +308,7 @@ class TestIndexedCache:
                 transport=lambda r: "first").complete(req)
         gateway = Gateway(mode="record", cache_path=path,
                           transport=lambda r: "second")
-        gateway.cache.put(req, "second")
+        gateway.cache.put(req.cache_key(), req, "second")
         assert gateway.complete(req) == "second"
         assert Gateway(mode="replay", cache_path=path).complete(req) == "second"
 
@@ -329,3 +331,49 @@ class TestIndexedCache:
         assert [v.tolist() for v in recorded] == [vectors["a"], vectors["b"]]
         assert [v.tolist() for v in replayed] == [vectors["b"], vectors["a"]]
         assert np.signbit(replayed[0][2])
+
+
+class TestCacheWrites:
+    def test_record_misses_hash_once_and_make_the_directory_once(
+            self, tmp_path, monkeypatch):
+        hashed = Counter()
+        real_key = PromptRequest.cache_key
+
+        def counting_key(req):
+            hashed[req.filled_prompt] += 1
+            return real_key(req)
+
+        made = []
+        real_makedirs = os.makedirs
+
+        def counting_makedirs(path, *args, **kwargs):
+            made.append(path)
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(PromptRequest, "cache_key", counting_key)
+        monkeypatch.setattr(os, "makedirs", counting_makedirs)
+        path = tmp_path / "cache" / "llm_cache.jsonl"
+        gateway = Gateway(mode="record", cache_path=str(path),
+                          transport=lambda req: f"answer to {req.filled_prompt}")
+        reqs = [render_p1(f"sentence {i}", "target") for i in range(3)]
+        for count, req in enumerate(reqs, start=1):
+            gateway.complete(req)
+            # the line is on disk as soon as complete (and put) returns
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert len(lines) == count
+            assert json.loads(lines[-1])["key"] == real_key(req)
+        assert list(hashed.values()) == [1, 1, 1]
+        assert made == [str(path.parent)]
+        replay = Gateway(mode="replay", cache_path=str(path))
+        assert [replay.complete(req) for req in reqs] == [
+            f"answer to {req.filled_prompt}" for req in reqs]
+
+    def test_replay_miss_hashes_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_key = PromptRequest.cache_key
+        monkeypatch.setattr(PromptRequest, "cache_key",
+                            lambda req: calls.append(req) or real_key(req))
+        gateway = Gateway(mode="replay", cache_path=str(tmp_path / "none.jsonl"))
+        with pytest.raises(CacheMissError):
+            gateway.complete(render_p1("a", "b"))
+        assert len(calls) == 1

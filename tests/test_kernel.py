@@ -12,9 +12,9 @@ from stancegraph.errors import (DimensionMismatchError, EmptySetError,
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
                                 build_model, cross_entropy, forward,
-                                graph_adjacency, khop_subgraph, layer_forward,
-                                load_checkpoint, readout, save_checkpoint,
-                                softmax)
+                                graph_adjacency, khop_subgraph, khop_subgraphs,
+                                layer_forward, load_checkpoint, readout,
+                                save_checkpoint, softmax)
 from tests.conftest import base_config
 from tests.oracle import explicit_kernel_oracle, rw_kernel, topg_select
 
@@ -168,7 +168,8 @@ class TestLayerForward:
         adjacency = graph_adjacency(graph, model.relation_weights)
         X = np.stack([n.embedding for n in graph.nodes])
         layer = model.layers[0]
-        out, _ = layer_forward(adjacency, X, layer)
+        out, _ = layer_forward(
+            X, khop_subgraphs(adjacency, layer.hop, layer.n_sub), layer)
         for v in range(3):
             sub = khop_subgraph(adjacency, X, v, layer.hop, layer.n_sub)
             expected = rw_kernel(sub, layer.filter_feats[0],
@@ -183,7 +184,8 @@ class TestLayerForward:
         graph = _chain_graph(3)
         adjacency = graph_adjacency(graph, model.relation_weights)
         X = np.stack([n.embedding for n in graph.nodes])
-        out, _ = layer_forward(adjacency, X, layer)
+        out, _ = layer_forward(
+            X, khop_subgraphs(adjacency, layer.hop, layer.n_sub), layer)
         np.testing.assert_allclose(out[:, 0], out[:, 1])
 
     def test_node_permutation_permutes_rows(self):
@@ -192,10 +194,12 @@ class TestLayerForward:
         graph = _chain_graph(4)
         adjacency = graph_adjacency(graph, model.relation_weights)
         X = np.stack([n.embedding for n in graph.nodes])
-        out, _ = layer_forward(adjacency, X, layer)
+        out, _ = layer_forward(
+            X, khop_subgraphs(adjacency, layer.hop, layer.n_sub), layer)
         perm = np.array([2, 0, 3, 1])
         adj_p = adjacency[np.ix_(perm, perm)]
-        out_p, _ = layer_forward(adj_p, X[perm], layer)
+        out_p, _ = layer_forward(
+            X[perm], khop_subgraphs(adj_p, layer.hop, layer.n_sub), layer)
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 

@@ -1,8 +1,8 @@
 """Property tests of the batched kernel engine against independent
 references: one BFS per node for the subgraphs, the materialized Kronecker
 product for every (node, filter) score, finite differences for the
-diagonal-W gradients. Examples are derandomized so every run checks the
-same cases."""
+diagonal-W gradients, and one graph at a time for a minibatch. Examples
+are derandomized so every run checks the same cases."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -12,8 +12,10 @@ from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph.kernel import (KernelLayerParams, backward, build_model,
                                 cross_entropy, forward, khop_subgraph,
                                 khop_subgraphs, layer_forward)
+from stancegraph.train import LabeledExample, _batch_loss_and_grads
 from tests.conftest import base_config
 from tests.oracle import (bfs_subgraph_order, explicit_kernel_oracle,
+                          gather_forward, loop_batch_loss_and_grads,
                           topg_select)
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -63,7 +65,8 @@ def test_layer_scores_match_kronecker_oracle(seed, n_nodes, density, hop, p,
         W=rng.normal(size=q) if diagonal else rng.normal(size=(q, q)),
         p=p, g=int(rng.integers(1, n_filters + 1)), hop=hop, n_sub=n_sub,
         n_filt=n_filt)
-    out, cache = layer_forward(adjacency, features, layer)
+    out, cache = layer_forward(features, khop_subgraphs(adjacency, hop, n_sub),
+                               layer)
     assert cache.scores.shape == (n_nodes, n_filters)
     for v in range(n_nodes):
         sub = khop_subgraph(adjacency, features, v, hop, n_sub)
@@ -129,3 +132,61 @@ def test_diagonal_w_gradients_match_finite_differences(seed, p, n_nodes):
             if rel > worst:
                 worst, worst_name = rel, name
     assert worst <= 1e-3, f"worst rel err {worst:.2e} in {worst_name}"
+
+
+def _random_fol_graph(rng, n_nodes, density, d):
+    nodes = [FolNode(predicate=Predicate(f"P{i}", ()),
+                     embedding=rng.normal(size=d)) for i in range(n_nodes)]
+    relations = list(Relation)
+    edges = [(i, j, relations[int(rng.integers(len(relations)))])
+             for i in range(n_nodes) for j in range(n_nodes)
+             if rng.uniform() < density]
+    return FolGraph(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=SEEDS, sizes=st.lists(st.integers(1, 7), min_size=1, max_size=9),
+       density=st.floats(0.0, 1.0), hop=st.sampled_from([1, 2]),
+       p=st.sampled_from([1, 2, 3]), n_sub=st.integers(1, 5),
+       layers=st.integers(1, 2), diagonal=st.booleans(),
+       saturated=st.booleans())
+def test_minibatch_matches_one_graph_at_a_time(seed, sizes, density, hop, p,
+                                                n_sub, layers, diagonal,
+                                                saturated):
+    """One forward and one backward call over a minibatch give the same
+    bits as one graph at a time through the gather reference: the
+    probabilities, every layer's selections, the loss and every gradient
+    tensor. n_sub up to 5 against graphs of up to 7 nodes gives both
+    padded and truncated subgraphs; a saturated head gives one-hot
+    probabilities, so a graph predicted right has no gradient pairs while
+    others in its batch have some."""
+    cfg = base_config(dimension=5, n_filters=4, n_sub=n_sub, n_filt=3, top_g=2,
+                      walk_length=p, subgraph_hop=hop, layers=layers,
+                      hidden=8, random_filters=True, diagonal_w=diagonal,
+                      seed=seed % 2**16)
+    model = build_model(None, cfg)
+    rng = np.random.default_rng(seed)
+    for layer in model.layers:
+        layer.W[:] = rng.uniform(-1.5, 1.5, size=layer.W.shape)
+    if saturated:
+        model.W_o *= 1e4
+    graphs = [_random_fol_graph(rng, n, density, 5) for n in sizes]
+    batch = [LabeledExample(text="", target="", graph=graph,
+                            label=model.labels[int(rng.integers(3))])
+             for graph in graphs]
+
+    cache = forward(graphs, model)
+    for b, graph in enumerate(graphs):
+        alone = gather_forward(graph, model)
+        np.testing.assert_array_equal(cache.probabilities[b],
+                                      alone.probabilities)
+        rows = slice(cache.offsets[b], cache.offsets[b + 1])
+        for layer_cache, alone_cache in zip(cache.layers, alone.layers):
+            np.testing.assert_array_equal(layer_cache.selected[rows],
+                                          alone_cache.selected)
+    loss, grads = _batch_loss_and_grads(model, batch)
+    ref_loss, ref_grads = loop_batch_loss_and_grads(model, batch)
+    assert loss == ref_loss
+    assert list(grads) == list(ref_grads)
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)

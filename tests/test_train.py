@@ -1,6 +1,7 @@
 """Data loading, optimizer, metrics, training loop, evaluation."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (BadHeaderError, BadLabelError,
                                 CacheFormatError, EmptySetError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
-from stancegraph.kernel import build_model
+from stancegraph.kernel import augment_graph, build_model
 from stancegraph.train import (AdamW, LabeledExample, evaluate, load_dataset,
                                load_graph_records, macro_f1, train)
 from tests.conftest import base_config
+from tests.oracle import loop_batch_loss_and_grads, loop_dataset_loss
 
 LABELS = ["Favor", "Against", "None"]
 
@@ -225,6 +227,33 @@ class TestTrain:
             train([], _toy_set(3), model, cfg)
         with pytest.raises(EmptySetError):
             train(_toy_set(3), [], model, cfg)
+
+
+class TestMinibatchEngine:
+    def test_train_matches_per_example_loop(self, monkeypatch, corpus, library):
+        """train() on the fixture: one forward and one backward call per
+        minibatch and chunked validation give the parameters and log of
+        the per-example loop, bit for bit."""
+        cfg = base_config(max_epochs=6)
+        train_set, dev_set = ([replace(ex, graph=augment_graph(ex.graph, library))
+                               for ex in corpus[part]] for part in ("train", "dev"))
+        result = train(train_set, dev_set, build_model(library, cfg), cfg)
+        monkeypatch.setattr(train_mod, "prepare", lambda graph, model: graph)
+        monkeypatch.setattr(train_mod, "_batch_loss_and_grads",
+                            loop_batch_loss_and_grads)
+        monkeypatch.setattr(train_mod, "dataset_loss", loop_dataset_loss)
+        reference = train(train_set, dev_set, build_model(library, cfg), cfg)
+        assert result.log == reference.log
+        expected = reference.model.parameters()
+        for name, value in result.model.parameters().items():
+            np.testing.assert_array_equal(value, expected[name], err_msg=name)
+
+    def test_chunked_evaluation_matches_per_example(self, monkeypatch):
+        model, _ = _toy_model()
+        test_set = _toy_set(2 * train_mod.FORWARD_CHUNK + 3, seed=2)
+        chunked = evaluate(test_set, model)
+        monkeypatch.setattr(train_mod, "FORWARD_CHUNK", 1)
+        assert evaluate(test_set, model) == chunked
 
 
 class TestEvaluate:
