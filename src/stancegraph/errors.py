@@ -53,7 +53,8 @@ class TransportTimeoutError(StanceGraphError):
 
 class ConfigError(StanceGraphError):
     """A run configuration that cannot be used: a config file that is not a
-    JSON object, or a key that is not a RunConfig field."""
+    JSON object, a key that is not a RunConfig field, or an unknown
+    macro-F1 mode."""
 
 
 class GatewayConfigError(StanceGraphError):

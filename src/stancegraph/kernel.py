@@ -14,7 +14,10 @@ batched tensor ops: subgraph features are rows of a zero-padded feature
 matrix, and the walk runs over (N, F, n_sub, n_filt) against the layer's
 stacked filters. Each node keeps its top-g kernel scores as features,
 layers stack, and a per-graph summed readout feeds a small ReLU head with
-softmax. All gradients are hand-derived reverse mode.
+softmax. All gradients are hand-derived reverse mode. The walk and the
+scores match scoring each pair alone bit for bit, because top-g breaks ties
+on the last bit; everything after them is GEMMs and segment sums over the
+batch, which match a per-graph loop to within rounding.
 """
 
 from __future__ import annotations
@@ -118,8 +121,9 @@ def khop_subgraph(adjacency: np.ndarray, features: np.ndarray, v: int,
 # Random-walk kernel (vec-identity form), batched over nodes and filters.
 # Every product is a stacked matmul whose per-item shapes match the one-pair
 # form (Xs Xf^T, A S B^T, W s, s.t), so numpy makes the same BLAS call per
-# pair and the results are bit-identical to scoring one pair at a time:
-# top-g breaks ties between equal-valued filters on the last bit.
+# pair and each score is bit-identical to scoring its pair alone. Top-g
+# needs that: filters cut from the same schema neighbourhood score equal up
+# to the last bit, and a GEMM over pairs would break their ties differently.
 
 def _walk(sub_feat: np.ndarray, sub_adj: np.ndarray, filt_feat: np.ndarray,
           filt_adj: np.ndarray, p: int) -> list[np.ndarray]:
@@ -316,7 +320,6 @@ def _batch_subgraphs(batch: list[PreparedGraph], key: tuple[int, int],
 class LayerCache:
     """One layer's forward state over a batch's N node rows."""
     subgraphs: SubgraphBatch             # node_indices are batch node rows
-    sub_feat: np.ndarray                 # (N, n_sub, f)
     steps: list[np.ndarray]              # S_0 .. S_p, each (N, F, n_sub, n_filt)
     scores: np.ndarray                   # (N, F)
     selected: np.ndarray                 # (N, g) filter indices, ascending
@@ -344,12 +347,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _matvec(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """matrix @ v for each row v of `rows`, as one matrix-vector product
-    per row (the BLAS call of `matrix @ v` on one 1-D v)."""
-    return (matrix @ rows[:, :, None])[:, :, 0]
-
-
 def layer_forward(features: np.ndarray, subgraphs: SubgraphBatch,
                   layer: KernelLayerParams) -> tuple[np.ndarray, LayerCache]:
     """Per-node kernel features of node rows `features` (N, f) whose
@@ -361,25 +358,27 @@ def layer_forward(features: np.ndarray, subgraphs: SubgraphBatch,
     scores, _ = _kernel_values(steps[0], steps[-1], layer.W)
     selected = _topg(scores, layer.g)
     out = np.take_along_axis(scores, selected, axis=1)
-    return out, LayerCache(subgraphs=subgraphs, sub_feat=sub_feat, steps=steps,
-                           scores=scores, selected=selected)
+    return out, LayerCache(subgraphs=subgraphs, steps=steps, scores=scores,
+                           selected=selected)
 
 
-def readout(layer_inputs: list[np.ndarray]) -> np.ndarray:
-    """Concatenation over layers of summed node features (layer 0 = the raw
-    embeddings)."""
+def readout(layer_inputs: list[np.ndarray], offsets: Sequence[int]) -> np.ndarray:
+    """Per graph, its node rows offsets[b]:offsets[b + 1] summed, over the
+    concatenated layer features (layer 0 = the raw embeddings)."""
     if len(layer_inputs) < 2:
         raise ShapeMismatchError("readout needs layer-0 features plus >=1 layer")
-    return np.concatenate([lf.sum(axis=0) for lf in layer_inputs])
+    return np.add.reduceat(np.concatenate(layer_inputs, axis=1), offsets[:-1],
+                           axis=0)
 
 
 def forward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
             model: Model) -> ForwardCache:
     """The model over a minibatch of graphs, each a FolGraph or a
     PreparedGraph. Node rows of all graphs are concatenated, so every layer
-    runs once for the batch; per-node and per-pair results are
-    bit-identical to running each graph alone. A single FolGraph is a
-    batch of one."""
+    runs once for the batch. Scores and selections are bit-identical to
+    running each graph alone; the readout and head are a segment sum and
+    GEMMs over the batch, equal to one graph at a time up to rounding. A
+    single FolGraph is a batch of one."""
     single = isinstance(graphs, FolGraph)
     batch = [graph if isinstance(graph, PreparedGraph) else prepare(graph, model)
              for graph in ([graphs] if single else graphs)]
@@ -398,12 +397,10 @@ def forward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
         layer_caches.append(layer_cache)
         layer_inputs.append(out)
 
-    # one slice sum per graph: np.add.reduceat sums in another order
-    phi = np.stack([readout([lf[start:end] for lf in layer_inputs])
-                    for start, end in zip(offsets[:-1], offsets[1:])])
-    pre_hidden = _matvec(model.W_h, phi) + model.b_h
+    phi = readout(layer_inputs, offsets)
+    pre_hidden = phi @ model.W_h.T + model.b_h
     hidden = np.maximum(pre_hidden, 0.0)
-    logits = _matvec(model.W_o, hidden) + model.b_o
+    logits = hidden @ model.W_o.T + model.b_o
     head = (phi, pre_hidden, hidden, logits, softmax(logits))
     if single:
         head = tuple(rows[0] for rows in head)
@@ -415,123 +412,89 @@ def cross_entropy(probabilities: np.ndarray, gold_index: int) -> float:
 
 
 def _pair_backward(upstream: np.ndarray, steps: list[np.ndarray],
-                   sub_adj: np.ndarray, filt_adj: np.ndarray,
-                   W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per (node, filter) pair, stacked on axis 0, the gradients of
-    upstream * k w.r.t. S_0 and w.r.t. the filter adjacency."""
+                   sub_adj: np.ndarray, filt_adj: np.ndarray, W: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For (node, filter) pairs stacked on axis 0: per pair, the gradients
+    of upstream * k w.r.t. S_0 and w.r.t. the filter adjacency; summed over
+    pairs, the gradient w.r.t. W."""
     n_pairs, n, m = steps[0].shape
     u = upstream[:, None]
-    s0 = steps[0].reshape(n_pairs, n * m)
-    _, w_sp = _kernel_values(steps[0], steps[-1], W)
+    s0, sp = (step.reshape(n_pairs, n * m) for step in (steps[0], steps[-1]))
     if W.ndim == 1:
-        g_sp = u * (W * s0)
+        g_s0, g_sp, g_w = u * W * sp, u * W * s0, (u * s0 * sp).sum(axis=0)
     else:
-        g_sp = u * (W.T @ s0[..., None])[..., 0]
+        g_s0, g_sp, g_w = u * (sp @ W.T), u * (s0 @ W), (u * s0).T @ sp
     G = g_sp.reshape(n_pairs, n, m)
     g_adj = np.zeros_like(filt_adj)
     for r in range(len(steps) - 1, 0, -1):
         g_adj += np.swapaxes(G, -1, -2) @ sub_adj @ steps[r - 1]
         G = np.swapaxes(sub_adj, -1, -2) @ G @ filt_adj    # back to S_{r-1}
-    return G + (u * w_sp).reshape(n_pairs, n, m), g_adj
-
-
-def _w_grad(upstream: np.ndarray, s0: np.ndarray, sp: np.ndarray,
-            W: np.ndarray) -> np.ndarray:
-    """The gradient of sum_i upstream_i * k_i w.r.t. W, summed in pair order
-    over pairs with flattened walk ends s0, sp (P, q)."""
-    u = upstream[:, None]
-    if W.ndim == 1:
-        return (u * s0 * sp).sum(axis=0)
-    outer = s0[:, :, None] * sp[:, None, :]
-    outer *= u[:, :, None]                     # in place: (P, q, q) is large
-    return outer.sum(axis=0)
+    return G + g_s0.reshape(n_pairs, n, m), g_adj, g_w
 
 
 def _scatter(values: np.ndarray, index: np.ndarray, length: int) -> np.ndarray:
-    """out[index[i]] += values[i] for each i in order, onto zeros of
-    (length, *row shape): np.bincount adds its weights in input order (and
-    gives int64 zeros when there are none)."""
+    """out[index[i]] += values[i] for each i, onto zeros of (length, *row
+    shape), by np.bincount (which gives int64 zeros when there are none)."""
     width = int(np.prod(values.shape[1:]))
     flat = (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=values.ravel(), minlength=length * width)
     return out.astype(np.float64, copy=False).reshape(length, *values.shape[1:])
 
 
-def _sum_graphs(per_graph: list[np.ndarray]) -> np.ndarray:
-    """Per-graph gradients added onto zeros in batch order."""
-    total = np.zeros_like(per_graph[0])
-    for part in per_graph:
-        total += part
-    return total
-
-
 def backward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
              model: Model, gold_index: Union[int, Sequence[int]],
              cache: Optional[ForwardCache]) -> "OrderedDict[str, np.ndarray]":
-    """Exact reverse-mode gradients of the cross-entropy loss of each graph
-    of the minibatch that `forward` ran on (`gold_index`: one class per
-    graph, or one int for a single FolGraph), summed per graph and then
-    across graphs in batch order. Top-g selection is treated as constant
-    (gradients flow only through the selected filters). Within a graph,
-    pair gradients are summed in (node, selected slot) order, the order of
-    a loop over pairs."""
+    """Exact reverse-mode gradients of the summed cross-entropy loss of the
+    graphs of the minibatch that `forward` ran on (`gold_index`: one class
+    per graph, or one int for a single FolGraph). Top-g selection is
+    treated as constant (gradients flow only through the selected filters).
+    The walk is reversed per (node, filter) pair; the head, the W and
+    filter-feature gradients and the input gradient are GEMMs over the
+    whole batch."""
     if cache is None:
         raise StaleCacheError("backward requires the forward cache")
     golds = np.atleast_1d(gold_index)
     probabilities, pre_hidden, hidden, phi = (np.atleast_2d(rows) for rows in (
         cache.probabilities, cache.pre_hidden, cache.hidden, cache.phi))
-    n_graphs, n_rows = len(golds), cache.offsets[-1]
+    n_rows = cache.offsets[-1]
     d_logits = probabilities - np.eye(probabilities.shape[1])[golds]
-    d_pre = _matvec(model.W_o.T, d_logits) * (pre_hidden > 0)
+    d_pre = (d_logits @ model.W_o) * (pre_hidden > 0)
 
     # split readout gradient back into per-layer summed-feature segments
     widths = [lf.shape[1] for lf in cache.layer_inputs]
-    segments = np.split(_matvec(model.W_h.T, d_pre), np.cumsum(widths)[:-1],
-                        axis=1)
+    segments = np.split(d_pre @ model.W_h, np.cumsum(widths)[:-1], axis=1)
 
     # d_X starts from the readout contribution of the deepest layer and is
     # augmented with kernel contributions while walking layers top-down;
     # the gradient w.r.t. the frozen node embeddings is never formed
-    node_graph = np.repeat(np.arange(n_graphs), np.diff(cache.offsets))
+    node_graph = np.repeat(np.arange(len(golds)), np.diff(cache.offsets))
     d_X = segments[-1][node_graph]
     grad_layers: list[KernelLayerParams] = []
     for li in range(len(model.layers) - 1, -1, -1):
         layer, lc = model.layers[li], cache.layers[li]
         nodes, slots = np.nonzero(d_X)
         filters = lc.selected[nodes, slots]
-        upstream = d_X[nodes, slots]
-        steps = [s[nodes, filters] for s in lc.steps]
-        G0, g_adj = _pair_backward(
-            upstream, steps, lc.subgraphs.adjacency[nodes],
-            layer.filter_adjs[filters], layer.W)
-        # sum over each graph's pairs; (P, q, q) and (P, n_filt, f)
-        # temporaries stay one graph's size
-        q = layer.n_sub * layer.n_filt
-        s0, sp = (step.reshape(len(nodes), q) for step in (steps[0], steps[-1]))
-        bounds = np.searchsorted(node_graph[nodes], np.arange(n_graphs + 1))
-        w_grads, feat_grads, adj_grads = [], [], []
-        for pairs in map(slice, bounds[:-1], bounds[1:]):
-            w_grads.append(_w_grad(upstream[pairs], s0[pairs], sp[pairs], layer.W))
-            g_feat = np.swapaxes(G0[pairs], -1, -2) @ lc.sub_feat[nodes[pairs]]
-            feat_grads.append(_scatter(g_feat, filters[pairs], layer.n_filters))
-            adj_grads.append(_scatter(g_adj[pairs], filters[pairs], layer.n_filters))
-        grad_layers.insert(0, replace(layer, filter_feats=_sum_graphs(feat_grads),
-                                      filter_adjs=_sum_graphs(adj_grads),
-                                      W=_sum_graphs(w_grads)))
+        G0, g_adj, g_w = _pair_backward(
+            d_X[nodes, slots], [s[nodes, filters] for s in lc.steps],
+            lc.subgraphs.adjacency[nodes], layer.filter_adjs[filters], layer.W)
+        # sum G0 onto (node row, filter): row j of pair i is node row
+        # node_indices[nodes[i], j]; S_0 = X_sub Xf^T then gives both the
+        # filter-feature and the input gradient as one GEMM each
+        n_filters, n_filt = layer.n_filters, layer.n_filt
+        rows = lc.subgraphs.node_indices[nodes]
+        valid = rows >= 0
+        g_rows = _scatter(G0[valid], (rows * n_filters + filters[:, None])[valid],
+                          n_rows * n_filters).reshape(n_rows, n_filters * n_filt)
+        g_feat = g_rows.T @ cache.layer_inputs[li]
+        grad_layers.insert(0, replace(
+            layer, filter_feats=g_feat.reshape(n_filters, n_filt, -1),
+            filter_adjs=_scatter(g_adj, filters, n_filters), W=g_w))
         if li:
-            # scatter through the subgraphs: row j of pair i lands on node
-            # row node_indices[nodes[i], j], after the readout term
-            g_sub = G0 @ layer.filter_feats[filters]
-            rows = lc.subgraphs.node_indices[nodes]
-            d_X = _scatter(np.concatenate([segments[li][node_graph],
-                                           g_sub[rows >= 0]]),
-                           np.concatenate([np.arange(n_rows), rows[rows >= 0]]),
-                           n_rows)
+            d_X = segments[li][node_graph] + g_rows @ layer.filter_feats.reshape(
+                n_filters * n_filt, -1)
     return replace(model, layers=grad_layers,
-                   W_h=_sum_graphs(d_pre[:, :, None] * phi[:, None, :]),
-                   b_h=_sum_graphs(d_pre),
-                   W_o=_sum_graphs(d_logits[:, :, None] * hidden[:, None, :]),
-                   b_o=_sum_graphs(d_logits)).parameters()
+                   W_h=d_pre.T @ phi, b_h=d_pre.sum(axis=0),
+                   W_o=d_logits.T @ hidden, b_o=d_logits.sum(axis=0)).parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +594,7 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
                 p=ld["p"], g=ld["g"], hop=ld["hop"],
                 n_sub=ld["n_sub"], n_filt=ld["n_filt"]))
         head = doc["head"]
-        return Model(
+        model = Model(
             layers=layers,
             W_h=np.asarray(head["W_h"], dtype=np.float64),
             b_h=np.asarray(head["b_h"], dtype=np.float64),
@@ -647,6 +610,37 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
         raise SchemaFormatError("missing checkpoint field", field=str(exc)) from exc
     except (TypeError, ValueError, AttributeError) as exc:  # wrong shape or value
         raise SchemaFormatError(f"malformed checkpoint: {exc}") from exc
+    _check_consistent(model)
+    return model
+
+
+def _check_consistent(model: Model) -> None:
+    """Raise SchemaFormatError unless a loaded model's sizes are counts and
+    its filter and head arrays have the shapes those sizes and its labels
+    give (W and g are checked by forward)."""
+    def require(ok: bool, what: str) -> None:
+        if not ok:
+            raise SchemaFormatError(f"inconsistent checkpoint: {what}")
+
+    least = {"p": 0, "hop": 0, "n_sub": 1, "n_filt": 1, "g": 1}
+    for name, value, low in [("dimension", model.dimension, 1)] + [
+            (f"layer {li} {name}", getattr(layer, name), least[name])
+            for li, layer in enumerate(model.layers) for name in least]:
+        require(type(value) is int and value >= low, f"{name}={value!r}")
+    require(bool(model.labels), "no labels")
+    widths = [model.dimension] + [layer.g for layer in model.layers]
+    hidden, classes = model.b_h.size, len(model.labels)
+    shapes = [("head.W_h", model.W_h, (hidden, sum(widths))),
+              ("head.b_h", model.b_h, (hidden,)),
+              ("head.W_o", model.W_o, (classes, hidden)),
+              ("head.b_o", model.b_o, (classes,))]
+    for li, layer in enumerate(model.layers):
+        F, m = len(layer.filter_feats), layer.n_filt
+        shapes += [(f"layer {li} filter features", layer.filter_feats, (F, m, widths[li])),
+                   (f"layer {li} filter adjacencies", layer.filter_adjs, (F, m, m))]
+    for name, array, expected in shapes:
+        require(array.shape == expected, f"{name} {array.shape}, expected {expected} "
+                f"for {hidden} hidden units and {classes} labels")
 
 
 def clone_model(model: Model) -> Model:

@@ -11,7 +11,8 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import (BadHeaderError, BadLabelError, CacheFormatError,
-                     EmptySetError, LengthMismatchError, NonFiniteLossError)
+                     ConfigError, EmptySetError, LengthMismatchError,
+                     NonFiniteLossError)
 from .fol import FolGraph
 from .gateway import read_jsonl_cache
 from .kernel import (Model, PreparedGraph, backward, clone_model,
@@ -135,7 +136,7 @@ def macro_f1(preds: list[str], golds: list[str], mode: str,
     elif mode == "all_classes":
         score = sum(per_class.values()) / len(label_set)
     else:
-        raise ValueError(f"unknown macro_f1 mode {mode!r}")
+        raise ConfigError(f"unknown macro_f1 mode {mode!r}")
     return {
         "mode": mode,
         "per_class_f1": per_class,
@@ -162,9 +163,9 @@ FORWARD_CHUNK = 16
 
 
 def _batch_loss_and_grads(model: Model, batch: list[LabeledExample]) -> tuple[float, dict]:
-    """Mean loss and gradients of one minibatch, one forward and one
-    backward call; the gradients are summed per example, then across
-    examples in batch order, then divided by the batch size."""
+    """Mean loss and gradients of one minibatch, from one forward and one
+    backward call: the gradients of the examples' summed loss, divided by
+    the batch size."""
     label_index = {label: i for i, label in enumerate(model.labels)}
     golds = [label_index[ex.label] for ex in batch]
     graphs = [ex.graph for ex in batch]
@@ -272,7 +273,8 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
 def evaluate(test_set: list[LabeledExample], model: Model,
              modes: tuple[str, ...] = ("all_classes", "favor_against_only")) -> dict:
     """Deterministic evaluation: metric modes, per-target breakdown, and the
-    selected-filter trace (layer-1 top-g indices per node) per example."""
+    selected-filter trace (the first kernel layer's top-g filter indices
+    per node) per example."""
     if not test_set:
         raise EmptySetError("empty test set")
     predictions = []

@@ -120,13 +120,17 @@ def _gather_pair_backward(upstream, steps, sub_feat, sub_adj, filt_feat,
     return g_w, np.swapaxes(G0, -1, -2) @ sub_feat, g_adj, G0 @ filt_feat
 
 
-def gather_backward(model, gold, cache):
+def gather_backward(model, gold, cache, magnitude=False):
     """gather_forward's gradients: pair gradients added into each filter
-    with np.add.at in (node, selected slot) order."""
-    d_logits = cache.probabilities - np.eye(len(cache.probabilities))[gold]
-    d_pre = (model.W_o.T @ d_logits) * (cache.pre_hidden > 0)
+    with np.add.at in (node, selected slot) order. With `magnitude`, every
+    operand of the backward pass is replaced by its absolute value, which
+    gives each gradient entry's sum of absolute terms: the scale of a
+    rounding-error bound for any other order of the same sums."""
+    t = np.abs if magnitude else (lambda a: a)
+    d_logits = t(cache.probabilities - np.eye(len(cache.probabilities))[gold])
+    d_pre = (t(model.W_o).T @ d_logits) * (cache.pre_hidden > 0)
     widths = [lf.shape[1] for lf in cache.layer_inputs]
-    segments = np.split(model.W_h.T @ d_pre, np.cumsum(widths)[:-1])
+    segments = np.split(t(model.W_h).T @ d_pre, np.cumsum(widths)[:-1])
     n_nodes = cache.layer_inputs[0].shape[0]
     d_X = np.tile(segments[-1], (n_nodes, 1))
     grad_layers = []
@@ -135,9 +139,10 @@ def gather_backward(model, gold, cache):
         nodes, slots = np.nonzero(d_X)
         filters = lc.selected[nodes, slots]
         g_w, g_feat, g_adj, g_sub = _gather_pair_backward(
-            d_X[nodes, slots], [s[nodes, filters] for s in lc.steps],
-            lc.sub_feat[nodes], lc.subgraphs.adjacency[nodes],
-            layer.filter_feats[filters], layer.filter_adjs[filters], layer.W)
+            d_X[nodes, slots], [t(s[nodes, filters]) for s in lc.steps],
+            t(lc.sub_feat[nodes]), t(lc.subgraphs.adjacency[nodes]),
+            t(layer.filter_feats[filters]), t(layer.filter_adjs[filters]),
+            t(layer.W))
         feats = np.zeros_like(layer.filter_feats)
         adjs = np.zeros_like(layer.filter_adjs)
         np.add.at(feats, filters, g_feat)
@@ -149,14 +154,16 @@ def gather_backward(model, gold, cache):
             d_X = np.tile(segments[li], (n_nodes, 1))
             np.add.at(d_X, rows[rows >= 0], g_sub[rows >= 0])
     return replace(model, layers=grad_layers,
-                   W_h=np.outer(d_pre, cache.phi), b_h=d_pre,
-                   W_o=np.outer(d_logits, cache.hidden), b_o=d_logits).parameters()
+                   W_h=np.outer(d_pre, t(cache.phi)), b_h=d_pre,
+                   W_o=np.outer(d_logits, t(cache.hidden)),
+                   b_o=d_logits).parameters()
 
 
-def loop_batch_loss_and_grads(model, batch):
+def loop_batch_loss_and_grads(model, batch, magnitude=False):
     """A minibatch's mean loss and gradients from gather_forward and
     gather_backward per example, gradients added onto zeros in example
-    order and then divided by the batch size."""
+    order and then divided by the batch size. With `magnitude`, the
+    gradients are sums of absolute terms (see gather_backward)."""
     label_index = {label: i for i, label in enumerate(model.labels)}
     grads = model.zero_grads()
     total = 0.0
@@ -164,7 +171,7 @@ def loop_batch_loss_and_grads(model, batch):
         gold = label_index[ex.label]
         cache = gather_forward(ex.graph, model)
         total += cross_entropy(cache.probabilities, gold)
-        ex_grads = gather_backward(model, gold, cache)
+        ex_grads = gather_backward(model, gold, cache, magnitude)
         for name in grads:
             grads[name] += ex_grads[name]
     for name in grads:

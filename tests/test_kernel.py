@@ -207,26 +207,36 @@ class TestReadout:
     def test_single_node(self):
         emb = np.array([[1.0, 2.0]])
         kernels = np.array([[3.0, 4.0]])
-        np.testing.assert_array_equal(readout([emb, kernels]),
-                                      np.array([1.0, 2.0, 3.0, 4.0]))
+        np.testing.assert_array_equal(readout([emb, kernels], [0, 1]),
+                                      np.array([[1.0, 2.0, 3.0, 4.0]]))
 
     def test_sum_duplicates(self):
         emb = np.array([[1.0, 2.0], [1.0, 2.0]])
         kernels = np.zeros((2, 1))
-        np.testing.assert_array_equal(readout([emb, kernels])[:2],
-                                      np.array([2.0, 4.0]))
+        np.testing.assert_array_equal(readout([emb, kernels], [0, 2])[:, :2],
+                                      np.array([[2.0, 4.0]]))
+
+    def test_one_row_per_graph(self):
+        rng = np.random.default_rng(1)
+        emb = rng.normal(size=(6, 3))
+        kernels = rng.normal(size=(6, 2))
+        offsets = [0, 1, 4, 6]
+        expected = [np.concatenate([emb[a:b].sum(axis=0), kernels[a:b].sum(axis=0)])
+                    for a, b in zip(offsets[:-1], offsets[1:])]
+        np.testing.assert_allclose(readout([emb, kernels], offsets), expected,
+                                   rtol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
         emb = rng.normal(size=(5, 3))
         kernels = rng.normal(size=(5, 2))
         perm = rng.permutation(5)
-        np.testing.assert_allclose(readout([emb, kernels]),
-                                   readout([emb[perm], kernels[perm]]))
+        np.testing.assert_allclose(readout([emb, kernels], [0, 5]),
+                                   readout([emb[perm], kernels[perm]], [0, 5]))
 
     def test_requires_at_least_one_layer(self):
         with pytest.raises(ShapeMismatchError):
-            readout([np.zeros((2, 2))])
+            readout([np.zeros((2, 2))], [0, 2])
 
 
 class TestSoftmaxHead:
@@ -332,6 +342,15 @@ class TestAugmentGraph:
         assert len(graph.nodes) == 1 and graph.edges == []
 
 
+def _edited(edit):
+    """The damage that applies `edit` to the checkpoint's JSON document."""
+    def damage(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return damage
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
         cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
@@ -362,7 +381,19 @@ class TestCheckpoints:
         (lambda text: _without(text, "layers"), "layers"),
         (lambda text: _without(text, "head"), "head"),
         (lambda text: text.replace('"Implies"', '"Causes"'), "Causes"),
-    ], ids=["torn", "list", "no-layers", "no-head", "unknown-relation"])
+        (_edited(lambda doc: [row.pop() for row in doc["head"]["W_h"]]),
+         r"head\.W_h \(8, 9\), expected \(8, 10\)"),
+        (_edited(lambda doc: doc["head"]["b_h"].pop()), "7 hidden units"),
+        (_edited(lambda doc: doc["head"]["b_o"].append(0.0)), "head.b_o"),
+        (_edited(lambda doc: doc["labels"].pop()), "head.W_o"),
+        (_edited(lambda doc: doc["layers"][0].update(p=-1)), "p=-1"),
+        (_edited(lambda doc: doc["layers"][0].update(p=1.5)), "p=1.5"),
+        (_edited(lambda doc: doc["layers"][0].update(hop="1")), "hop='1'"),
+        (_edited(lambda doc: doc["layers"][0].update(n_sub=4.0)), "n_sub=4.0"),
+        (_edited(lambda doc: doc.update(dimension="8")), "dimension='8'"),
+    ], ids=["torn", "list", "no-layers", "no-head", "unknown-relation",
+            "head-width", "short-b_h", "long-b_o", "short-labels", "negative-p",
+            "float-p", "string-hop", "float-n_sub", "string-dimension"])
     def test_damaged_file_is_schema_format_error(self, tmp_path, damage, match):
         cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
                           top_g=2, layers=1, hidden=8, random_filters=True)
@@ -377,3 +408,4 @@ def _without(text, key):
     doc = json.loads(text)
     del doc[key]
     return json.dumps(doc)
+

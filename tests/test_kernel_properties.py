@@ -19,6 +19,8 @@ from tests.oracle import (bfs_subgraph_order, explicit_kernel_oracle,
                           topg_select)
 
 SEEDS = st.integers(0, 2**32 - 1)
+# bound on a rounding difference, relative to the sum of absolute terms
+ROUNDING = 1e-10
 
 
 def _random_graph(rng, n_nodes, density):
@@ -153,11 +155,11 @@ def _random_fol_graph(rng, n_nodes, density, d):
 def test_minibatch_matches_one_graph_at_a_time(seed, sizes, density, hop, p,
                                                 n_sub, layers, diagonal,
                                                 saturated):
-    """One forward and one backward call over a minibatch give the same
-    bits as one graph at a time through the gather reference: the
-    probabilities, every layer's selections, the loss and every gradient
-    tensor. n_sub up to 5 against graphs of up to 7 nodes gives both
-    padded and truncated subgraphs; a saturated head gives one-hot
+    """One forward and one backward call over a minibatch match one graph
+    at a time through the gather reference: every layer's selections bit
+    for bit, and the probabilities, the loss and every gradient tensor to
+    within rounding. n_sub up to 5 against graphs of up to 7 nodes gives
+    both padded and truncated subgraphs; a saturated head gives one-hot
     probabilities, so a graph predicted right has no gradient pairs while
     others in its batch have some."""
     cfg = base_config(dimension=5, n_filters=4, n_sub=n_sub, n_filt=3, top_g=2,
@@ -178,15 +180,20 @@ def test_minibatch_matches_one_graph_at_a_time(seed, sizes, density, hop, p,
     cache = forward(graphs, model)
     for b, graph in enumerate(graphs):
         alone = gather_forward(graph, model)
-        np.testing.assert_array_equal(cache.probabilities[b],
-                                      alone.probabilities)
+        # probabilities lie in [0, 1] and sum to 1
+        np.testing.assert_allclose(cache.probabilities[b], alone.probabilities,
+                                   rtol=0, atol=ROUNDING)
         rows = slice(cache.offsets[b], cache.offsets[b + 1])
         for layer_cache, alone_cache in zip(cache.layers, alone.layers):
             np.testing.assert_array_equal(layer_cache.selected[rows],
                                           alone_cache.selected)
     loss, grads = _batch_loss_and_grads(model, batch)
     ref_loss, ref_grads = loop_batch_loss_and_grads(model, batch)
-    assert loss == ref_loss
+    _, scales = loop_batch_loss_and_grads(model, batch, magnitude=True)
+    # every loss term is nonnegative, so the loss is its own absolute sum;
+    # the 1 covers a probability that rounds to 1 on one side only
+    assert abs(loss - ref_loss) <= ROUNDING * (ref_loss + 1.0)
     assert list(grads) == list(ref_grads)
     for name, grad in grads.items():
-        np.testing.assert_array_equal(grad, ref_grads[name], err_msg=name)
+        assert np.all(np.abs(grad - ref_grads[name])
+                      <= ROUNDING * scales[name] + 1e-300), name
