@@ -204,8 +204,7 @@ def dataset_loss(model: Model, examples: list[LabeledExample]) -> tuple[float, l
 
 
 def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
-          model: Model, cfg: RunConfig,
-          f1_mode: str = "all_classes") -> TrainResult:
+          model: Model, cfg: RunConfig) -> TrainResult:
     """Mini-batch training with sub-epoch validation, lowest-dev-loss
     checkpointing, and patience counted in consecutive non-improving
     validations. patience <= 0 disables early stopping. Every graph is
@@ -244,7 +243,7 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
             if step % val_every == 0:
                 val_loss, val_preds = dataset_loss(model, dev_set)
                 val_f1 = macro_f1(val_preds, [ex.label for ex in dev_set],
-                                  f1_mode, model.labels)["f_avg"]
+                                  "all_classes", model.labels)["f_avg"]
                 log.append({"step": step, "epoch": round(epochs_run, 4),
                             "train_loss": round(loss, 10),
                             "val_loss": round(val_loss, 10),

@@ -165,7 +165,8 @@ def loop_batch_loss_and_grads(model, batch, magnitude=False):
     order and then divided by the batch size. With `magnitude`, the
     gradients are sums of absolute terms (see gather_backward)."""
     label_index = {label: i for i, label in enumerate(model.labels)}
-    grads = model.zero_grads()
+    grads = {name: np.zeros_like(value)
+             for name, value in model.parameters().items()}
     total = 0.0
     for ex in batch:
         gold = label_index[ex.label]

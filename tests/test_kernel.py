@@ -1,5 +1,6 @@
 """Random-walk kernel engine, model forward/backward, augmentation."""
 
+import base64
 import json
 
 import numpy as np
@@ -342,6 +343,35 @@ class TestAugmentGraph:
         assert len(graph.nodes) == 1 and graph.edges == []
 
 
+class TestModelStacks:
+    def test_stacks_back_every_parameter(self):
+        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                          top_g=2, layers=2, hidden=8, random_filters=True)
+        model = build_model(None, cfg)
+        stacks = model.stacks()
+        assert [name for name, _ in stacks] == [
+            "layer0.filter_feats", "layer0.filter_adjs", "layer0.W",
+            "layer1.filter_feats", "layer1.filter_adjs", "layer1.W",
+            "head.W_h", "head.b_h", "head.W_o", "head.b_o"]
+        assert (sum(value.size for _, value in stacks)
+                == sum(value.size for value in model.parameters().values()))
+
+    @pytest.mark.parametrize("where, name", [
+        (lambda m: m.layers[1].filter_adjs[1], "layer1.filter_adjs"),
+        (lambda m: m.layers[0].W, "layer0.W"),
+        (lambda m: m.b_o, "head.b_o"),
+    ])
+    def test_assert_finite_names_the_stack(self, where, name):
+        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                          top_g=2, layers=2, hidden=8, random_filters=True)
+        model = build_model(None, cfg)
+        model.assert_finite()
+        where(model).flat[0] = np.nan
+        with pytest.raises(ShapeMismatchError,
+                           match=f"parameter {name} contains non-finite values"):
+            model.assert_finite()
+
+
 def _edited(edit):
     """The damage that applies `edit` to the checkpoint's JSON document."""
     def damage(text):
@@ -349,6 +379,45 @@ def _edited(edit):
         edit(doc)
         return json.dumps(doc)
     return damage
+
+
+def _tensor(entry):
+    """The array a checkpoint tensor entry encodes."""
+    raw = base64.b64decode(entry["data"])
+    return np.frombuffer(raw, "<f8").reshape(entry["shape"])
+
+
+def _retensored(where, edit):
+    """The damage that replaces the tensor entry `where(doc)` names (a
+    container and a key) by the encoding of `edit` applied to its array."""
+    def apply(doc):
+        container, key = where(doc)
+        array = np.ascontiguousarray(edit(_tensor(container[key])), "<f8")
+        container[key] = {"shape": list(array.shape),
+                          "data": base64.b64encode(array.tobytes()).decode("ascii")}
+    return _edited(apply)
+
+
+def _head(name):
+    return lambda doc: (doc["head"], name)
+
+
+def _small_checkpoint(tmp_path, layers=1):
+    cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                      top_g=2, layers=layers, hidden=8, random_filters=True)
+    path = tmp_path / "model.json"
+    save_checkpoint(build_model(None, cfg), str(path))
+    return path
+
+
+def _float_lists(value):
+    """The lists anywhere in a JSON value that hold a float."""
+    if isinstance(value, dict):
+        return [found for item in value.values() for found in _float_lists(item)]
+    if isinstance(value, list):
+        own = [value] if any(isinstance(item, float) for item in value) else []
+        return own + [found for item in value for found in _float_lists(item)]
+    return []
 
 
 class TestCheckpoints:
@@ -359,10 +428,23 @@ class TestCheckpoints:
         path = str(tmp_path / "model.json")
         save_checkpoint(model, path)
         loaded = load_checkpoint(path, library_fingerprint="abc123")
+        assert list(loaded.parameters()) == list(model.parameters())
         for name, value in model.parameters().items():
             np.testing.assert_array_equal(loaded.parameters()[name], value,
                                           err_msg=name)
+            assert loaded.parameters()[name].dtype == np.float64
+        for name, value in loaded.stacks():
+            assert value.flags.writeable, name
         assert loaded.labels == model.labels
+
+    def test_tensors_are_encoded_not_float_lists(self, tmp_path):
+        doc = json.loads(_small_checkpoint(tmp_path, layers=2).read_text())
+        assert _float_lists(doc) == []
+        entries = [doc["head"][name] for name in ("W_h", "b_h", "W_o", "b_o")] + [
+            layer[name] for layer in doc["layers"]
+            for name in ("filter_feats", "filter_adjs", "W")]
+        assert len(entries) == 10
+        assert all(set(entry) == {"shape", "data"} for entry in entries)
 
     def test_fingerprint_mismatch(self, tmp_path):
         cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
@@ -381,24 +463,50 @@ class TestCheckpoints:
         (lambda text: _without(text, "layers"), "layers"),
         (lambda text: _without(text, "head"), "head"),
         (lambda text: text.replace('"Implies"', '"Causes"'), "Causes"),
-        (_edited(lambda doc: [row.pop() for row in doc["head"]["W_h"]]),
+        (_retensored(_head("W_h"), lambda a: a[:, :-1]),
          r"head\.W_h \(8, 9\), expected \(8, 10\)"),
-        (_edited(lambda doc: doc["head"]["b_h"].pop()), "7 hidden units"),
-        (_edited(lambda doc: doc["head"]["b_o"].append(0.0)), "head.b_o"),
+        (_retensored(_head("b_h"), lambda a: a[:-1]), "7 hidden units"),
+        (_retensored(_head("b_o"), lambda a: np.append(a, 0.0)), "head.b_o"),
         (_edited(lambda doc: doc["labels"].pop()), "head.W_o"),
         (_edited(lambda doc: doc["layers"][0].update(p=-1)), "p=-1"),
         (_edited(lambda doc: doc["layers"][0].update(p=1.5)), "p=1.5"),
         (_edited(lambda doc: doc["layers"][0].update(hop="1")), "hop='1'"),
         (_edited(lambda doc: doc["layers"][0].update(n_sub=4.0)), "n_sub=4.0"),
         (_edited(lambda doc: doc.update(dimension="8")), "dimension='8'"),
+        (_retensored(lambda doc: (doc["layers"][0], "filter_adjs"),
+                     lambda a: a.reshape(2, 9)),
+         r"layer 0 filter adjacencies \(2, 9\), expected \(2, 3, 3\)"),
+        (_edited(lambda doc: doc["head"]["W_o"].update(data="not base64!")),
+         "tensor head.W_o: data is not base64"),
+        (_edited(lambda doc: doc["head"]["W_o"].update(data=[0.5, 0.25])),
+         "tensor head.W_o: data is not base64"),
+        (_edited(lambda doc: doc["head"]["W_o"].update(data="AAAA")),
+         r"tensor head.W_o: 3 bytes, shape \[3, 8\] needs 192"),
+        (_edited(lambda doc: doc["head"]["W_o"]["shape"].append(2)),
+         r"tensor head.W_o: 192 bytes, shape \[3, 8, 2\] needs 384"),
+        (_edited(lambda doc: doc["head"]["W_o"].update(shape=[-3, -8])),
+         r"tensor head.W_o: shape \[-3, -8\] is not a list of counts"),
+        (_edited(lambda doc: doc["head"]["W_o"].update(shape="3x8")),
+         "tensor head.W_o: shape '3x8' is not a list of counts"),
+        (_edited(lambda doc: doc["head"]["W_o"].update(shape=[3.0, 8])),
+         "tensor head.W_o: shape .* is not a list of counts"),
+        (_edited(lambda doc: doc["head"].update(W_o=[[0.5] * 8] * 3)),
+         "tensor head.W_o: shape None is not a list of counts"),
+        (_edited(lambda doc: doc["layers"][0].pop("W")), "'W'"),
+        (_edited(lambda doc: doc.update(version=1)), "checkpoint version 1 != 2"),
+        *[(_retensored(_head("b_o"), lambda a, v=value: np.where(
+              np.arange(a.size) == 1, v, a)),
+           "tensor head.b_o contains non-finite values")
+          for value in (np.nan, np.inf, -np.inf)],
     ], ids=["torn", "list", "no-layers", "no-head", "unknown-relation",
             "head-width", "short-b_h", "long-b_o", "short-labels", "negative-p",
-            "float-p", "string-hop", "float-n_sub", "string-dimension"])
+            "float-p", "string-hop", "float-n_sub", "string-dimension",
+            "flat-filter-adjs", "bad-base64", "list-data", "short-data",
+            "long-shape", "negative-shape", "string-shape", "float-shape",
+            "float-list-tensor", "no-W", "version-1", "nan-b_o", "inf-b_o",
+            "minus-inf-b_o"])
     def test_damaged_file_is_schema_format_error(self, tmp_path, damage, match):
-        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
-                          top_g=2, layers=1, hidden=8, random_filters=True)
-        path = tmp_path / "model.json"
-        save_checkpoint(build_model(None, cfg), str(path))
+        path = _small_checkpoint(tmp_path)
         path.write_text(damage(path.read_text()))
         with pytest.raises(SchemaFormatError, match=match):
             load_checkpoint(str(path))
