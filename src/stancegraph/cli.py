@@ -131,7 +131,7 @@ def cmd_generate_fol(cfg, dataset, out) -> None:
     examples = load_dataset(dataset, cfg.label_set)
     provider = make_provider(cfg.embedding_provider, cfg.dimension)
     enriched, stats = generate_fol(examples, _gateway(cfg), provider, cfg)
-    write_graph_records(enriched, out, config_fingerprint=cfg.fingerprint())
+    write_graph_records(enriched, out)
     if stats.dropped_lines or stats.unparsed_lines or stats.fallback_graphs:
         click.echo(f"partial failures: dropped={stats.dropped_lines} "
                    f"unparsed={stats.unparsed_lines} "
@@ -232,12 +232,13 @@ def cmd_predict(cfg, text, target, checkpoint, library_path, force) -> None:
     provider = make_provider(cfg.embedding_provider, model.dimension)
     ex = pipeline.elicit(LabeledExample(text=text, target=target, label=""),
                          _gateway(cfg), provider, cfg)
-    cache = forward(_augment([ex], library, cfg)[0].graph, model)
+    cache = forward([_augment([ex], library, cfg)[0].graph], model)
+    probabilities = cache.probabilities[0]
     click.echo(json.dumps({
         "text": text,
         "target": target,
-        "pred": model.labels[int(np.argmax(cache.probabilities))],
-        "probabilities": [float(p) for p in cache.probabilities],
+        "pred": model.labels[int(np.argmax(probabilities))],
+        "probabilities": [float(p) for p in probabilities],
         "selected_filters": cache.layers[0].selected.tolist(),
     }, ensure_ascii=False, sort_keys=True))
 

@@ -35,7 +35,6 @@ class RunConfig:
     layers: int = 2                   # L
     hidden: int = 64                  # h
     subgraph_hop: int = 1
-    diagonal_w: bool = False
     relation_weights: dict = field(default_factory=lambda: {
         "Implies": 1.0, "Conjunction": 0.5, "Disjunction": 0.5, "InstanceOf": 1.0})
     # training

@@ -107,10 +107,6 @@ class IndexOutOfRangeError(StanceGraphError):
     pass
 
 
-class StaleCacheError(StanceGraphError):
-    pass
-
-
 class NonFiniteLossError(StanceGraphError):
     def __init__(self, message, batch_index=None):
         super().__init__(message)

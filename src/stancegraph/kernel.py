@@ -8,16 +8,17 @@ bank of schema-derived filters with a p-step random-walk kernel
 computed via the vec identity ((A ⊗ B) vec(S) = vec(A S B^T) with row-major
 vec), never materializing the Kronecker matrix. A graph is prepared once
 (`prepare`): its node features and every node's subgraph as node indices
-and a padded adjacency. `forward` and `backward` take a minibatch of graphs
-and concatenate their node rows, so one layer of the whole batch is a few
-batched tensor ops: subgraph features are rows of a zero-padded feature
-matrix, and the walk runs over (N, F, n_sub, n_filt) against the layer's
-stacked filters. Each node keeps its top-g kernel scores as features,
-layers stack, and a per-graph summed readout feeds a small ReLU head with
-softmax. All gradients are hand-derived reverse mode. The walk and the
-scores match scoring each pair alone bit for bit, because top-g breaks ties
-on the last bit; everything after them is GEMMs and segment sums over the
-batch, which match a per-graph loop to within rounding.
+and a padded adjacency. `forward` takes a minibatch of graphs and
+concatenates their node rows, and `backward` runs it back from its cache,
+so one layer of the whole batch is a few batched tensor ops: subgraph
+features are rows of a zero-padded feature matrix, and the walk runs over
+(N, F, n_sub, n_filt) against the layer's stacked filters. Each node keeps
+its top-g kernel scores as features, layers stack, and a per-graph summed
+readout feeds a small ReLU head with softmax. All gradients are
+hand-derived reverse mode. The walk and the scores match scoring each pair
+alone bit for bit, because top-g breaks ties on the last bit; everything
+after them is GEMMs and segment sums over the batch, which match a
+per-graph loop to within rounding.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import (DimensionMismatchError, FingerprintMismatchError,
                      IndexOutOfRangeError, InvalidGError, SchemaFormatError,
-                     ShapeMismatchError, StaleCacheError)
+                     ShapeMismatchError)
 from .fol import FolGraph, FolNode, Predicate, Relation
 from .induce import SchemaLibrary, assign_to_cluster, extract_filters
 
@@ -147,10 +148,9 @@ def _kernel_values(s0: np.ndarray, sp: np.ndarray, W: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """vec(S_0)^T W vec(S_p) over the leading axes of s0 and sp, and W vec(S_p)."""
     q = s0.shape[-2] * s0.shape[-1]
-    if (W.ndim == 1 and W.shape[0] != q) or (W.ndim != 1 and W.shape != (q, q)):
+    if W.shape != (q, q):
         raise ShapeMismatchError(f"W shape {W.shape} inconsistent with q={q}")
-    sp = sp.reshape(*sp.shape[:-2], q, 1)
-    w_sp = W[:, None] * sp if W.ndim == 1 else W @ sp
+    w_sp = W @ sp.reshape(*sp.shape[:-2], q, 1)
     return (s0.reshape(*s0.shape[:-2], 1, q) @ w_sp)[..., 0, 0], w_sp[..., 0]
 
 
@@ -169,7 +169,7 @@ def _topg(scores: np.ndarray, g: int) -> np.ndarray:
 class KernelLayerParams:
     filter_feats: np.ndarray          # (F, n_filt, f)
     filter_adjs: np.ndarray           # (F, n_filt, n_filt)
-    W: np.ndarray                     # (q, q) dense or (q,) diagonal
+    W: np.ndarray                     # (q, q), q = n_sub * n_filt
     p: int
     g: int
     hop: int
@@ -196,30 +196,17 @@ class Model:
     seed: int = 0
 
     def parameters(self) -> "OrderedDict[str, np.ndarray]":
-        """Per-filter entries are views into the layer's stacked filters, so
-        an in-place update of a parameter writes the stack."""
-        params: OrderedDict[str, np.ndarray] = OrderedDict()
-        for li, layer in enumerate(self.layers):
-            for fi in range(layer.n_filters):
-                params[f"layer{li}.filter{fi}.feat"] = layer.filter_feats[fi]
-                params[f"layer{li}.filter{fi}.adj"] = layer.filter_adjs[fi]
-            params[f"layer{li}.W"] = layer.W
-        params["head.W_h"] = self.W_h
-        params["head.b_h"] = self.b_h
-        params["head.W_o"] = self.W_o
-        params["head.b_o"] = self.b_o
-        return params
-
-    def stacks(self) -> list[tuple[str, np.ndarray]]:
-        """The stacked arrays behind `parameters()`, by name: per layer its
-        filter features, filter adjacencies and W, then the head."""
-        return [(f"layer{li}.{name}", getattr(layer, name))
-                for li, layer in enumerate(self.layers)
-                for name in LAYER_TENSORS] + [
-            (f"head.{name}", getattr(self, name)) for name in HEAD_TENSORS]
+        """The stacked parameter arrays themselves, by name: per layer
+        `layer{l}.filter_feats`, `.filter_adjs` and `.W`, then the head's
+        `head.W_h`, `.b_h`, `.W_o` and `.b_o`. An in-place update of an
+        entry writes the model."""
+        return OrderedDict(
+            [(f"layer{li}.{name}", getattr(layer, name))
+             for li, layer in enumerate(self.layers) for name in LAYER_TENSORS]
+            + [(f"head.{name}", getattr(self, name)) for name in HEAD_TENSORS])
 
     def assert_finite(self) -> None:
-        for name, value in self.stacks():
+        for name, value in self.parameters().items():
             if not np.all(np.isfinite(value)):
                 raise ShapeMismatchError(f"parameter {name} contains non-finite values")
 
@@ -266,10 +253,9 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
             feats = np.stack([f for f, _ in base])
         else:
             feats = rng.normal(0.0, 0.1, size=(n_filters, cfg.n_filt, feat_dim))
-        W = np.ones(q, dtype=np.float64) if cfg.diagonal_w else np.eye(q)
         layers.append(KernelLayerParams(
-            filter_feats=feats, filter_adjs=np.stack([a for _, a in base]), W=W,
-            p=cfg.walk_length, g=min(cfg.top_g, n_filters),
+            filter_feats=feats, filter_adjs=np.stack([a for _, a in base]),
+            W=np.eye(q), p=cfg.walk_length, g=min(cfg.top_g, n_filters),
             hop=cfg.subgraph_hop, n_sub=cfg.n_sub, n_filt=cfg.n_filt))
         feat_dim = layers[-1].g
 
@@ -339,7 +325,7 @@ class LayerCache:
 class ForwardCache:
     """A minibatch's forward state. The node rows of graph b are
     offsets[b]:offsets[b + 1] of every per-node array; phi .. probabilities
-    have one row per graph, or no batch axis for a single FolGraph."""
+    have one row per graph."""
     offsets: list[int]                   # B + 1 node row boundaries
     layer_inputs: list[np.ndarray]       # X_0 .. X_L (layer_inputs[l] feeds layer l)
     layers: list[LayerCache]
@@ -381,17 +367,15 @@ def readout(layer_inputs: list[np.ndarray], offsets: Sequence[int]) -> np.ndarra
                            axis=0)
 
 
-def forward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
+def forward(graphs: Sequence[Union[FolGraph, PreparedGraph]],
             model: Model) -> ForwardCache:
     """The model over a minibatch of graphs, each a FolGraph or a
     PreparedGraph. Node rows of all graphs are concatenated, so every layer
     runs once for the batch. Scores and selections are bit-identical to
     running each graph alone; the readout and head are a segment sum and
-    GEMMs over the batch, equal to one graph at a time up to rounding. A
-    single FolGraph is a batch of one."""
-    single = isinstance(graphs, FolGraph)
+    GEMMs over the batch, equal to one graph at a time up to rounding."""
     batch = [graph if isinstance(graph, PreparedGraph) else prepare(graph, model)
-             for graph in ([graphs] if single else graphs)]
+             for graph in graphs]
     if not batch:
         raise ShapeMismatchError("cannot run forward on an empty batch")
     offsets = [0]
@@ -411,10 +395,8 @@ def forward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
     pre_hidden = phi @ model.W_h.T + model.b_h
     hidden = np.maximum(pre_hidden, 0.0)
     logits = hidden @ model.W_o.T + model.b_o
-    head = (phi, pre_hidden, hidden, logits, softmax(logits))
-    if single:
-        head = tuple(rows[0] for rows in head)
-    return ForwardCache(offsets, layer_inputs, layer_caches, *head)
+    return ForwardCache(offsets, layer_inputs, layer_caches, phi, pre_hidden,
+                        hidden, logits, softmax(logits))
 
 
 def cross_entropy(probabilities: np.ndarray, gold_index: int) -> float:
@@ -430,11 +412,8 @@ def _pair_backward(upstream: np.ndarray, steps: list[np.ndarray],
     n_pairs, n, m = steps[0].shape
     u = upstream[:, None]
     s0, sp = (step.reshape(n_pairs, n * m) for step in (steps[0], steps[-1]))
-    if W.ndim == 1:
-        g_s0, g_sp, g_w = u * W * sp, u * W * s0, (u * s0 * sp).sum(axis=0)
-    else:
-        g_s0, g_sp, g_w = u * (sp @ W.T), u * (s0 @ W), (u * s0).T @ sp
-    G = g_sp.reshape(n_pairs, n, m)
+    g_s0, g_w = u * (sp @ W.T), (u * s0).T @ sp
+    G = (u * (s0 @ W)).reshape(n_pairs, n, m)
     g_adj = np.zeros_like(filt_adj)
     for r in range(len(steps) - 1, 0, -1):
         g_adj += np.swapaxes(G, -1, -2) @ sub_adj @ steps[r - 1]
@@ -451,24 +430,17 @@ def _scatter(values: np.ndarray, index: np.ndarray, length: int) -> np.ndarray:
     return out.astype(np.float64, copy=False).reshape(length, *values.shape[1:])
 
 
-def backward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
-             model: Model, gold_index: Union[int, Sequence[int]],
-             cache: Optional[ForwardCache]) -> "OrderedDict[str, np.ndarray]":
+def backward(model: Model, golds: Sequence[int],
+             cache: ForwardCache) -> "OrderedDict[str, np.ndarray]":
     """Exact reverse-mode gradients of the summed cross-entropy loss of the
-    graphs of the minibatch that `forward` ran on (`gold_index`: one class
-    per graph, or one int for a single FolGraph). Top-g selection is
-    treated as constant (gradients flow only through the selected filters).
-    The walk is reversed per (node, filter) pair; the head, the W and
-    filter-feature gradients and the input gradient are GEMMs over the
-    whole batch."""
-    if cache is None:
-        raise StaleCacheError("backward requires the forward cache")
-    golds = np.atleast_1d(gold_index)
-    probabilities, pre_hidden, hidden, phi = (np.atleast_2d(rows) for rows in (
-        cache.probabilities, cache.pre_hidden, cache.hidden, cache.phi))
+    minibatch that `forward` ran on (`golds`: one class index per graph),
+    under the names of `Model.parameters()`. Top-g selection is treated as
+    constant (gradients flow only through the selected filters). The walk
+    is reversed per (node, filter) pair; the head, the W and filter-feature
+    gradients and the input gradient are GEMMs over the whole batch."""
     n_rows = cache.offsets[-1]
-    d_logits = probabilities - np.eye(probabilities.shape[1])[golds]
-    d_pre = (d_logits @ model.W_o) * (pre_hidden > 0)
+    d_logits = cache.probabilities - np.eye(cache.probabilities.shape[1])[golds]
+    d_pre = (d_logits @ model.W_o) * (cache.pre_hidden > 0)
 
     # split readout gradient back into per-layer summed-feature segments
     widths = [lf.shape[1] for lf in cache.layer_inputs]
@@ -477,7 +449,7 @@ def backward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
     # d_X starts from the readout contribution of the deepest layer and is
     # augmented with kernel contributions while walking layers top-down;
     # the gradient w.r.t. the frozen node embeddings is never formed
-    node_graph = np.repeat(np.arange(len(golds)), np.diff(cache.offsets))
+    node_graph = np.repeat(np.arange(len(cache.offsets) - 1), np.diff(cache.offsets))
     d_X = segments[-1][node_graph]
     grad_layers: list[KernelLayerParams] = []
     for li in range(len(model.layers) - 1, -1, -1):
@@ -503,8 +475,8 @@ def backward(graphs: Union[FolGraph, Sequence[Union[FolGraph, PreparedGraph]]],
             d_X = segments[li][node_graph] + g_rows @ layer.filter_feats.reshape(
                 n_filters * n_filt, -1)
     return replace(model, layers=grad_layers,
-                   W_h=d_pre.T @ phi, b_h=d_pre.sum(axis=0),
-                   W_o=d_logits.T @ hidden, b_o=d_logits.sum(axis=0)).parameters()
+                   W_h=d_pre.T @ cache.phi, b_h=d_pre.sum(axis=0),
+                   W_o=d_logits.T @ cache.hidden, b_o=d_logits.sum(axis=0)).parameters()
 
 
 # ---------------------------------------------------------------------------
@@ -646,9 +618,9 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
 
 
 def _check_consistent(model: Model) -> None:
-    """Raise SchemaFormatError unless a loaded model's sizes are counts and
-    its filter and head arrays have the shapes those sizes and its labels
-    give (W and g are checked by forward)."""
+    """Raise SchemaFormatError unless a loaded model's sizes are counts, each
+    layer's g is at most its filter count, and its filter, W and head arrays
+    have the shapes those sizes and its labels give."""
     def require(ok: bool, what: str) -> None:
         if not ok:
             raise SchemaFormatError(f"inconsistent checkpoint: {what}")
@@ -666,9 +638,11 @@ def _check_consistent(model: Model) -> None:
               ("head.W_o", model.W_o, (classes, hidden)),
               ("head.b_o", model.b_o, (classes,))]
     for li, layer in enumerate(model.layers):
-        F, m = len(layer.filter_feats), layer.n_filt
+        F, m, q = len(layer.filter_feats), layer.n_filt, layer.n_sub * layer.n_filt
+        require(layer.g <= F, f"layer {li} g={layer.g} exceeds its {F} filters")
         shapes += [(f"layer {li} filter features", layer.filter_feats, (F, m, widths[li])),
-                   (f"layer {li} filter adjacencies", layer.filter_adjs, (F, m, m))]
+                   (f"layer {li} filter adjacencies", layer.filter_adjs, (F, m, m)),
+                   (f"layer {li} W", layer.W, (q, q))]
     for name, array, expected in shapes:
         require(array.shape == expected, f"{name} {array.shape}, expected {expected} "
                 f"for {hidden} hidden units and {classes} labels")

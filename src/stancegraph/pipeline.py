@@ -81,8 +81,7 @@ def generate_fol(examples: list[LabeledExample], gateway: Gateway,
     return [elicit(ex, gateway, provider, cfg, stats) for ex in examples], stats
 
 
-def write_graph_records(examples: list[LabeledExample], path: str,
-                        config_fingerprint: str = "") -> None:
+def write_graph_records(examples: list[LabeledExample], path: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for ex in examples:
@@ -93,7 +92,6 @@ def write_graph_records(examples: list[LabeledExample], path: str,
                 "rationale": ex.rationale,
                 "llm_stance": ex.llm_stance,
                 "graph": ex.graph.to_dict(),
-                "config_fingerprint": config_fingerprint,
             }
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 

@@ -168,12 +168,11 @@ def _batch_loss_and_grads(model: Model, batch: list[LabeledExample]) -> tuple[fl
     the batch size."""
     label_index = {label: i for i, label in enumerate(model.labels)}
     golds = [label_index[ex.label] for ex in batch]
-    graphs = [ex.graph for ex in batch]
-    cache = forward(graphs, model)
+    cache = forward([ex.graph for ex in batch], model)
     total = 0.0
     for probabilities, gold in zip(cache.probabilities, golds):
         total += cross_entropy(probabilities, gold)
-    grads = backward(graphs, model, golds, cache)
+    grads = backward(model, golds, cache)
     for name in grads:
         grads[name] /= len(batch)
     return total / len(batch), grads
@@ -269,11 +268,10 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def evaluate(test_set: list[LabeledExample], model: Model,
-             modes: tuple[str, ...] = ("all_classes", "favor_against_only")) -> dict:
-    """Deterministic evaluation: metric modes, per-target breakdown, and the
-    selected-filter trace (the first kernel layer's top-g filter indices
-    per node) per example."""
+def evaluate(test_set: list[LabeledExample], model: Model) -> dict:
+    """Deterministic evaluation: macro-F1 in both modes, per-target
+    breakdown, and the selected-filter trace (the first kernel layer's top-g
+    filter indices per node) per example."""
     if not test_set:
         raise EmptySetError("empty test set")
     predictions = []
@@ -290,7 +288,8 @@ def evaluate(test_set: list[LabeledExample], model: Model,
             "selected_filters": selected.tolist(),
         })
     golds = [ex.label for ex in test_set]
-    metrics = {mode: macro_f1(preds, golds, mode, model.labels) for mode in modes}
+    metrics = {mode: macro_f1(preds, golds, mode, model.labels)
+               for mode in ("all_classes", "favor_against_only")}
     accuracy = sum(1 for p, y in zip(preds, golds) if p == y) / len(golds)
     per_target: dict[str, dict] = {}
     for target in sorted({ex.target for ex in test_set}):

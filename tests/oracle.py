@@ -26,8 +26,6 @@ def explicit_kernel_oracle(sub_adj: np.ndarray, sub_feat: np.ndarray,
     s = S.ravel()
     a_cross = np.kron(sub_adj, filt_adj)
     powered = np.linalg.matrix_power(a_cross, p)
-    if W.ndim == 1:
-        W = np.diag(W)
     return float(s @ W @ powered @ s)
 
 
@@ -104,14 +102,9 @@ def _gather_pair_backward(upstream, steps, sub_feat, sub_adj, filt_feat,
     s0 = steps[0].reshape(n_pairs, n * m)
     _, w_sp = _kernel_values(steps[0], steps[-1], W)
     g_s0 = u * w_sp
-    if W.ndim == 1:
-        g_w = u * s0 * steps[-1].reshape(n_pairs, n * m)
-        g_sp = u * (W * s0)
-    else:
-        g_w = s0[:, :, None] * steps[-1].reshape(n_pairs, 1, n * m)
-        g_w *= u[:, :, None]
-        g_sp = u * (W.T @ s0[..., None])[..., 0]
-    G = g_sp.reshape(n_pairs, n, m)
+    g_w = s0[:, :, None] * steps[-1].reshape(n_pairs, 1, n * m)
+    g_w *= u[:, :, None]
+    G = (u * (W.T @ s0[..., None])[..., 0]).reshape(n_pairs, n, m)
     g_adj = np.zeros_like(filt_adj)
     for r in range(len(steps) - 1, 0, -1):
         g_adj += np.swapaxes(G, -1, -2) @ sub_adj @ steps[r - 1]
@@ -190,6 +183,41 @@ def loop_dataset_loss(model, examples):
         total += cross_entropy(probabilities, label_index[ex.label])
         preds.append(model.labels[int(np.argmax(probabilities))])
     return total / len(examples), preds
+
+
+def finite_difference_errors(model, loss, grads, step=1e-4, max_entries=40):
+    """Central finite differences of `loss()` against the analytic `grads`
+    (by `model.parameters()` name), on at most `max_entries` entries of
+    each filter's slice of a filter stack and of each other parameter,
+    drawn by default_rng(13). Returns the worst relative error, the slice
+    it was in, and how many entries were checked."""
+    slices = []
+    for name, tensor in model.parameters().items():
+        if name.endswith((".filter_feats", ".filter_adjs")):
+            slices += [(f"{name}[{fi}]", tensor[fi], grads[name][fi])
+                       for fi in range(len(tensor))]
+        else:
+            slices.append((name, tensor, grads[name]))
+    worst, worst_name, checked = 0.0, "", 0
+    for name, values, grad in slices:
+        idx = np.arange(values.size)
+        if values.size > max_entries:
+            idx = np.random.default_rng(13).choice(values.size, max_entries,
+                                                   replace=False)
+        for i in idx:
+            original = values.flat[i]
+            values.flat[i] = original + step
+            up = loss()
+            values.flat[i] = original - step
+            down = loss()
+            values.flat[i] = original
+            fd = (up - down) / (2 * step)
+            an = grad.flat[i]
+            rel = abs(fd - an) / max(abs(fd), abs(an), 1e-3)
+            if rel > worst:
+                worst, worst_name = rel, name
+        checked += len(idx)
+    return worst, worst_name, checked
 
 
 def loop_silhouette(points: np.ndarray, assignments: np.ndarray) -> float:

@@ -89,6 +89,12 @@ class TestPipeline:
         with open(pipeline["train_graphs"], encoding="utf-8") as fh:
             assert sum(1 for line in fh if line.strip()) == 32
 
+    def test_graph_record_fields(self, pipeline):
+        with open(pipeline["train_graphs"], encoding="utf-8") as fh:
+            for line in fh:
+                assert set(json.loads(line)) == {
+                    "text", "target", "label", "rationale", "llm_stance", "graph"}
+
     def test_induced_library(self, pipeline):
         doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
         assert doc["version"] == 1

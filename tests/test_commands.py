@@ -2,6 +2,7 @@
 typed errors for a config that cannot be used."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from click.testing import CliRunner
@@ -31,6 +32,18 @@ PARAMS = {
     "inspect": ["library_path", "as_json"],
 }
 
+# Every RunConfig field, in declaration order: adding or removing a knob is
+# an edit here.
+CONFIG_FIELDS = [
+    "dimension", "embedding_provider", "model_id", "mode", "cache_dir",
+    "temperature", "max_tokens", "p2_max_lines", "k_grid", "k_fixed",
+    "n_filters", "filter_hop", "size_cap", "n_sub", "n_filt", "walk_length",
+    "top_g", "layers", "hidden", "subgraph_hop", "relation_weights",
+    "batch_size", "learning_rate", "max_epochs", "patience",
+    "validation_interval", "weight_decay", "seed", "random_filters",
+    "skip_augmentation", "label_set",
+]
+
 
 class TestFlagSets:
     @pytest.mark.parametrize("name", sorted(PARAMS))
@@ -39,6 +52,9 @@ class TestFlagSets:
 
     def test_no_other_commands(self):
         assert set(main.commands) == set(PARAMS)
+
+    def test_config_fields(self):
+        assert [f.name for f in fields(RunConfig)] == CONFIG_FIELDS
 
     def test_shared_flag_slots(self):
         slots = sum(p.name in SHARED for cmd in main.commands.values()
@@ -69,6 +85,10 @@ class TestConfigErrors:
     def test_grad_clip_is_no_longer_a_field(self):
         with pytest.raises(ConfigError, match="grad_clip"):
             RunConfig.from_dict({"grad_clip": 1.0})
+
+    def test_diagonal_w_is_no_longer_a_field(self):
+        with pytest.raises(ConfigError, match="diagonal_w"):
+            RunConfig.from_dict({"diagonal_w": True})
 
     def test_unknown_gateway_mode(self, tmp_path):
         with pytest.raises(GatewayConfigError, match="bogus"):

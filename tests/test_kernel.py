@@ -124,13 +124,6 @@ class TestRwKernel:
                                 valid_count=2, node_indices=[0, 1])
         assert rw_kernel(padded, ones, edge, np.eye(8), 2) == pytest.approx(base)
 
-    def test_diagonal_w(self):
-        edge = np.array([[0.0, 1.0], [1.0, 0.0]])
-        ones = np.ones((2, 1))
-        dense = rw_kernel(_sub(ones, edge), ones, edge, np.eye(4), 1)
-        diag = rw_kernel(_sub(ones, edge), ones, edge, np.ones(4), 1)
-        assert dense == pytest.approx(diag)
-
     def test_shape_mismatch(self):
         edge = np.array([[0.0, 1.0], [1.0, 0.0]])
         ones = np.ones((2, 1))
@@ -270,37 +263,37 @@ class TestForwardBackward:
 
     def test_forward_shapes(self):
         model, graph = self._setup()
-        cache = forward(graph, model)
-        assert cache.probabilities.shape == (3,)
+        cache = forward([graph], model)
+        assert cache.probabilities.shape == (1, 3)
         assert cache.probabilities.sum() == pytest.approx(1.0)
         assert np.all(cache.probabilities >= 0)
 
     def test_b_o_gradient_closed_form(self):
         model, graph = self._setup()
-        cache = forward(graph, model)
-        grads = backward(graph, model, gold_index=1, cache=cache)
-        expected = cache.probabilities.copy()
+        cache = forward([graph], model)
+        grads = backward(model, [1], cache)
+        expected = cache.probabilities[0].copy()
         expected[1] -= 1.0
         np.testing.assert_allclose(grads["head.b_o"], expected, atol=1e-12)
 
     def test_one_hot_probabilities_give_zero_gradients(self):
         model, graph = self._setup()
-        cache = forward(graph, model)
-        cache.probabilities = np.array([0.0, 1.0, 0.0])
-        grads = backward(graph, model, gold_index=1, cache=cache)
+        cache = forward([graph], model)
+        cache.probabilities = np.array([[0.0, 1.0, 0.0]])
+        grads = backward(model, [1], cache)
         for name, g in grads.items():
             np.testing.assert_allclose(g, 0.0, atol=1e-12, err_msg=name)
 
     def test_empty_graph_rejected(self):
         model, _ = self._setup()
         with pytest.raises(ShapeMismatchError):
-            forward(FolGraph(nodes=[], edges=[]), model)
+            forward([FolGraph(nodes=[], edges=[])], model)
 
     def test_dimension_mismatch(self):
         model, _ = self._setup()
         graph = _chain_graph(2, d=5)
         with pytest.raises(DimensionMismatchError):
-            forward(graph, model)
+            forward([graph], model)
 
 
 class TestAugmentGraph:
@@ -348,13 +341,16 @@ class TestModelStacks:
         cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
                           top_g=2, layers=2, hidden=8, random_filters=True)
         model = build_model(None, cfg)
-        stacks = model.stacks()
-        assert [name for name, _ in stacks] == [
+        params = model.parameters()
+        assert list(params) == [
             "layer0.filter_feats", "layer0.filter_adjs", "layer0.W",
             "layer1.filter_feats", "layer1.filter_adjs", "layer1.W",
             "head.W_h", "head.b_h", "head.W_o", "head.b_o"]
-        assert (sum(value.size for _, value in stacks)
-                == sum(value.size for value in model.parameters().values()))
+        for li, layer in enumerate(model.layers):
+            assert params[f"layer{li}.filter_feats"] is layer.filter_feats
+            assert params[f"layer{li}.filter_adjs"] is layer.filter_adjs
+            assert params[f"layer{li}.W"] is layer.W
+        assert params["head.W_h"] is model.W_h and params["head.b_o"] is model.b_o
 
     @pytest.mark.parametrize("where, name", [
         (lambda m: m.layers[1].filter_adjs[1], "layer1.filter_adjs"),
@@ -402,6 +398,13 @@ def _head(name):
     return lambda doc: (doc["head"], name)
 
 
+def _g_above_filters(text):
+    """Layer 0 keeping g=3 of its 2 filters, with the head widened to match,
+    so that only g disagrees with the rest of the file."""
+    widened = _retensored(_head("W_h"), lambda a: np.hstack([a, a[:, -1:]]))
+    return widened(_edited(lambda doc: doc["layers"][0].update(g=3))(text))
+
+
 def _small_checkpoint(tmp_path, layers=1):
     cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
                       top_g=2, layers=layers, hidden=8, random_filters=True)
@@ -433,7 +436,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(loaded.parameters()[name], value,
                                           err_msg=name)
             assert loaded.parameters()[name].dtype == np.float64
-        for name, value in loaded.stacks():
+        for name, value in loaded.parameters().items():
             assert value.flags.writeable, name
         assert loaded.labels == model.labels
 
@@ -493,6 +496,9 @@ class TestCheckpoints:
         (_edited(lambda doc: doc["head"].update(W_o=[[0.5] * 8] * 3)),
          "tensor head.W_o: shape None is not a list of counts"),
         (_edited(lambda doc: doc["layers"][0].pop("W")), "'W'"),
+        (_retensored(lambda doc: (doc["layers"][0], "W"), np.diagonal),
+         r"layer 0 W \(12,\), expected \(12, 12\)"),
+        (_g_above_filters, "layer 0 g=3 exceeds its 2 filters"),
         (_edited(lambda doc: doc.update(version=1)), "checkpoint version 1 != 2"),
         *[(_retensored(_head("b_o"), lambda a, v=value: np.where(
               np.arange(a.size) == 1, v, a)),
@@ -503,7 +509,8 @@ class TestCheckpoints:
             "float-p", "string-hop", "float-n_sub", "string-dimension",
             "flat-filter-adjs", "bad-base64", "list-data", "short-data",
             "long-shape", "negative-shape", "string-shape", "float-shape",
-            "float-list-tensor", "no-W", "version-1", "nan-b_o", "inf-b_o",
+            "float-list-tensor", "no-W", "diagonal-W", "g-above-filters",
+            "version-1", "nan-b_o", "inf-b_o",
             "minus-inf-b_o"])
     def test_damaged_file_is_schema_format_error(self, tmp_path, damage, match):
         path = _small_checkpoint(tmp_path)
