@@ -9,7 +9,9 @@ small subgraph filters for the kernel model.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -23,7 +25,7 @@ from .errors import (EmptyCorpusError, InvalidFilterCountError, InvalidKError,
 from .fol import FolGraph, Relation
 from .gateway import Gateway, render_p2
 
-LIBRARY_VERSION = 1
+LIBRARY_VERSION = 2
 KMEANS_MAX_ITER = 300
 # Largest (rows, m, d) float64 difference block the distance code builds:
 # 2**20 elements, 8 MB. Memory stays bounded as the predicate pool grows.
@@ -391,23 +393,60 @@ def assign_to_cluster(embedding: np.ndarray, result: ClusteringResult) -> int:
 
 # ---------------------------------------------------------------------------
 # Persistence
+#
+# Libraries and checkpoints are JSON objects written with sort_keys, and
+# share one codec for their float arrays: each stacked array is one entry
+# {"shape": [...], "data": base64 of its little-endian float64 bytes in C
+# order}, decoded by one np.frombuffer; float lists parse several times slower.
+
+def _encode(array: np.ndarray) -> dict:
+    data = array.astype("<f8", copy=False).tobytes()
+    return {"shape": list(array.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def _decode(entry: object, name: str) -> np.ndarray:
+    """The writable float64 array of a tensor entry; SchemaFormatError
+    naming the tensor for a bad shape, bad base64, a byte length the shape
+    does not give, or a non-finite value."""
+    shape = entry.get("shape") if isinstance(entry, dict) else None
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise SchemaFormatError(f"tensor {name}: shape {shape!r} is not a list of counts")
+    try:
+        raw = base64.b64decode(entry.get("data"), validate=True)
+    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise SchemaFormatError(f"tensor {name}: data is not base64 ({exc})") from exc
+    if len(raw) != 8 * math.prod(shape):
+        raise SchemaFormatError(f"tensor {name}: {len(raw)} bytes, shape {shape} "
+                                f"needs {8 * math.prod(shape)}")
+    array = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise SchemaFormatError(f"tensor {name} contains non-finite values")
+    return array
+
 
 def save_library(library: SchemaLibrary, path: str) -> None:
+    """Write the library; its centroids and summary embeddings are two
+    (K, d) tensor entries, each node's row i of them."""
+    nodes = library.graph.nodes
+    shape = (len(nodes), library.dimension)
     doc = {
         "version": LIBRARY_VERSION,
         "d": library.dimension,
         "seed": library.seed,
+        "centroids": _encode(np.reshape([n.centroid for n in nodes], shape)),
+        "summary_embeddings": _encode(
+            np.reshape([n.summary_embedding for n in nodes], shape)),
         "nodes": [
             {
                 "id": n.id,
                 "summary": n.summary,
-                "centroid": [float(x) for x in n.centroid],
-                "summary_embedding": [float(x) for x in n.summary_embedding],
                 "members": n.members,
                 "member_count": n.member_count,
                 "fallback": n.fallback,
             }
-            for n in library.graph.nodes
+            for n in nodes
         ],
         "edges": [
             {"src": e.src, "dst": e.dst, "relation": e.relation.value,
@@ -427,7 +466,8 @@ def save_library(library: SchemaLibrary, path: str) -> None:
 
 def load_library(path: str, data: Optional[bytes] = None) -> SchemaLibrary:
     """The library saved at `path`; `data`, when given, is that file's
-    bytes, already read."""
+    bytes, already read. Node i's centroid and summary embedding are row i
+    of `clustering.centroids` and of one decoded (K, d) stack."""
     try:
         if data is None:
             with open(path, "rb") as fh:
@@ -442,36 +482,65 @@ def load_library(path: str, data: Optional[bytes] = None) -> SchemaLibrary:
         raise SchemaFormatError(
             f"library version {version} != supported {LIBRARY_VERSION}",
             field="version")
-    for key in ("d", "seed", "nodes", "edges"):
+    for key in ("d", "seed", "nodes", "edges", "centroids", "summary_embeddings"):
         if key not in doc:
             raise SchemaFormatError("missing field", field=key)
+    d = doc["d"]
+    if not (type(d) is int and d >= 1):
+        raise SchemaFormatError(f"d={d!r} is not a positive int", field="d")
     try:
+        k = len(doc["nodes"])
+        stacks = {}
+        for key in ("centroids", "summary_embeddings"):
+            stacks[key] = _decode(doc[key], key)
+            if stacks[key].shape != (k, d):
+                raise SchemaFormatError(
+                    f"tensor {key}: shape {list(stacks[key].shape)}, expected "
+                    f"[{k}, {d}] for {k} nodes and d={d}", field=key)
         nodes = []
-        for nd in doc["nodes"]:
+        for i, nd in enumerate(doc["nodes"]):
+            if nd["id"] != i:
+                raise SchemaFormatError(f"node {i} has id {nd['id']!r}", field="id")
             nodes.append(SchemaNode(
-                id=nd["id"], summary=nd["summary"],
-                centroid=np.asarray(nd["centroid"], dtype=np.float64),
-                summary_embedding=np.asarray(nd["summary_embedding"], dtype=np.float64),
+                id=i, summary=nd["summary"],
+                centroid=stacks["centroids"][i],
+                summary_embedding=stacks["summary_embeddings"][i],
                 members=list(nd["members"]), fallback=nd.get("fallback", False)))
-        edges = [SchemaEdge(e["src"], e["dst"], Relation(e["relation"]), e["weight"])
-                 for e in doc["edges"]]
-        centroids = (np.stack([n.centroid for n in nodes])
-                     if nodes else np.zeros((0, doc["d"])))
+        edges = [_edge(i, e, k) for i, e in enumerate(doc["edges"])]
+        assignments = doc.get("assignments", [])
+        if not (isinstance(assignments, list) and set(map(type, assignments)) <= {int}
+                and (not assignments or min(assignments) >= 0 and max(assignments) < k)):
+            raise SchemaFormatError(f"assignments are not ints in [0, {k})",
+                                    field="assignments")
     except KeyError as exc:
         raise SchemaFormatError("missing node or edge field", field=str(exc)) from exc
     except (TypeError, ValueError, AttributeError) as exc:  # wrong shape or value
         raise SchemaFormatError(f"malformed schema library: {exc}") from exc
     clustering = ClusteringResult(
-        k=len(nodes),
-        assignments=np.asarray(doc.get("assignments", []), dtype=np.int64),
-        centroids=centroids,
+        k=k,
+        assignments=np.asarray(assignments, dtype=np.int64),
+        centroids=stacks["centroids"],
         inertia=float(doc.get("inertia", 0.0)),
         seed=doc["seed"])
-    return SchemaLibrary(dimension=doc["d"], seed=doc["seed"],
+    return SchemaLibrary(dimension=d, seed=doc["seed"],
                          graph=SchemaGraph(nodes=nodes, edges=edges),
                          clustering=clustering,
                          providers=doc.get("providers", {}),
                          config_fingerprint=doc.get("config_fingerprint", ""))
+
+
+def _edge(i: int, e: dict, k: int) -> SchemaEdge:
+    """Edge record i; SchemaFormatError naming the field for an endpoint
+    that is not a node id in [0, k) or a weight that is not a finite number."""
+    for end in ("src", "dst"):
+        if not (type(e[end]) is int and 0 <= e[end] < k):
+            raise SchemaFormatError(f"edge {i} {end}={e[end]!r} is not a node id "
+                                    f"in [0, {k})", field=end)
+    weight = e["weight"]
+    if not (type(weight) in (int, float) and math.isfinite(weight)):
+        raise SchemaFormatError(f"edge {i} weight={weight!r} is not a finite number",
+                                field="weight")
+    return SchemaEdge(e["src"], e["dst"], Relation(e["relation"]), weight)
 
 
 def induce_library(corpus: list[FolGraph], provider: EmbeddingProvider,

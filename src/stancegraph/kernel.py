@@ -23,10 +23,8 @@ per-graph loop to within rounding.
 
 from __future__ import annotations
 
-import base64
 import copy
 import json
-import math
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -39,7 +37,8 @@ from .errors import (DimensionMismatchError, FingerprintMismatchError,
                      IndexOutOfRangeError, InvalidGError, SchemaFormatError,
                      ShapeMismatchError)
 from .fol import FolGraph, FolNode, Predicate, Relation
-from .induce import SchemaLibrary, assign_to_cluster, extract_filters
+from .induce import (SchemaLibrary, _decode, _encode, assign_to_cluster,
+                     extract_filters)
 
 CHECKPOINT_VERSION = 2
 # The stacked parameter arrays of a layer and of the head, by attribute name.
@@ -516,36 +515,8 @@ def augment_graph(graph: FolGraph, library: SchemaLibrary) -> FolGraph:
 #
 # A checkpoint is one JSON object written with sort_keys. Its sizes, labels,
 # relation weights and fingerprints are plain JSON; each stacked parameter
-# array (LAYER_TENSORS of each layer, HEAD_TENSORS) is one entry
-# {"shape": [...], "data": base64 of its little-endian float64 bytes in C
-# order}, decoded by one np.frombuffer; float lists load 3-5x slower.
-
-def _encode(array: np.ndarray) -> dict:
-    data = array.astype("<f8", copy=False).tobytes()
-    return {"shape": list(array.shape),
-            "data": base64.b64encode(data).decode("ascii")}
-
-
-def _decode(entry: object, name: str) -> np.ndarray:
-    """The writable float64 array of a tensor entry; SchemaFormatError
-    naming the tensor for a bad shape, bad base64, a byte length the shape
-    does not give, or a non-finite value."""
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if not (isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise SchemaFormatError(f"tensor {name}: shape {shape!r} is not a list of counts")
-    try:
-        raw = base64.b64decode(entry.get("data"), validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise SchemaFormatError(f"tensor {name}: data is not base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise SchemaFormatError(f"tensor {name}: {len(raw)} bytes, shape {shape} "
-                                f"needs {8 * math.prod(shape)}")
-    array = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(array).all():
-        raise SchemaFormatError(f"tensor {name} contains non-finite values")
-    return array
-
+# array (LAYER_TENSORS of each layer, HEAD_TENSORS) is one tensor entry of
+# the codec the schema library also uses (induce._encode/_decode).
 
 def save_checkpoint(model: Model, path: str) -> None:
     doc = {

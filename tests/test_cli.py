@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from stancegraph import cli
 from stancegraph.cli import main
 from stancegraph.config import RunConfig
+from stancegraph.induce import LIBRARY_VERSION
 from stancegraph.pipeline import file_fingerprint
 from stancegraph.synth import FIXTURE_DIMENSION, FIXTURE_PROVIDER
 from tests.conftest import DATA_DIR, torn_cache
@@ -97,7 +98,7 @@ class TestPipeline:
 
     def test_induced_library(self, pipeline):
         doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
-        assert doc["version"] == 1
+        assert doc["version"] == LIBRARY_VERSION
         assert len(doc["nodes"]) == 8
 
     def test_metrics_file(self, pipeline):
@@ -162,6 +163,13 @@ class TestPipeline:
         doc = json.loads(result.output)
         assert doc["k"] == 8
         assert len(doc["nodes"]) == 8
+
+    def test_inspect_json_matches_version_1_output(self, pipeline):
+        """`inspect` reads only summaries, member counts and edges, so the
+        fixture library prints what it printed from a version-1 file."""
+        result = _run(["inspect", pipeline["library"], "--json"])
+        expected = (DATA_DIR / "inspect_fixture.json").read_text(encoding="utf-8")
+        assert json.loads(result.output) == json.loads(expected)
 
 
 class TestRunLocation:

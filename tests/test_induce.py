@@ -1,5 +1,6 @@
 """Schema induction: pooling, clustering, summarization, filter extraction."""
 
+import base64
 import itertools
 import json
 
@@ -13,7 +14,8 @@ from stancegraph.errors import (EmptyCorpusError, HttpError,
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph import induce
 from stancegraph.gateway import Gateway
-from stancegraph.induce import (ClusteringResult, SchemaEdge, SchemaGraph,
+from stancegraph.induce import (LIBRARY_VERSION, ClusteringResult, SchemaEdge,
+                                SchemaGraph,
                                 SchemaNode, abstract_clusters,
                                 assign_to_cluster, build_schema_graph,
                                 collect_predicates, extract_filters,
@@ -322,6 +324,33 @@ class TestAssignToCluster:
 # ---------------------------------------------------------------------------
 # Persistence and the session library
 
+def _tensor(entry):
+    """The array a library tensor entry encodes."""
+    raw = base64.b64decode(entry["data"])
+    return np.frombuffer(raw, "<f8").reshape(entry["shape"])
+
+
+def _retensored(key, edit):
+    """The damage that replaces the tensor entry `key` by the encoding of
+    `edit` applied to its array."""
+    def damage(doc):
+        array = np.ascontiguousarray(edit(_tensor(doc[key])), "<f8")
+        return {**doc, key: {"shape": list(array.shape),
+                             "data": base64.b64encode(array.tobytes()).decode("ascii")}}
+    return damage
+
+
+def _edge_edited(**fields):
+    return lambda doc: {**doc, "edges": [dict(doc["edges"][0], **fields),
+                                         *doc["edges"][1:]]}
+
+
+def _with_nan(a):
+    a = a.copy()
+    a[2, 5] = np.nan
+    return a
+
+
 class TestLibraryPersistence:
     def test_round_trip(self, library, tmp_path):
         path = str(tmp_path / "library.json")
@@ -331,10 +360,35 @@ class TestLibraryPersistence:
         assert loaded.dimension == library.dimension
         assert [n.summary for n in loaded.graph.nodes] == \
             [n.summary for n in library.graph.nodes]
+        assert [n.members for n in loaded.graph.nodes] == \
+            [n.members for n in library.graph.nodes]
         np.testing.assert_array_equal(loaded.clustering.centroids,
                                       library.clustering.centroids)
+        np.testing.assert_array_equal(loaded.clustering.assignments,
+                                      library.clustering.assignments)
+        summary_embeddings = np.stack([n.summary_embedding for n in loaded.graph.nodes])
+        assert np.array_equal(summary_embeddings, np.stack(
+            [n.summary_embedding for n in library.graph.nodes]))
+        for array in (loaded.clustering.centroids, summary_embeddings,
+                      *(n.centroid for n in loaded.graph.nodes)):
+            assert array.dtype == np.float64
+            assert array.flags.writeable
         assert [(e.src, e.dst, e.relation, e.weight) for e in loaded.graph.edges] == \
             [(e.src, e.dst, e.relation, e.weight) for e in library.graph.edges]
+
+    def test_float_arrays_are_tensors_not_float_lists(self, library, tmp_path):
+        path = tmp_path / "library.json"
+        save_library(library, str(path))
+        text = path.read_text()
+        assert '"centroid": [' not in text
+        assert '"summary_embedding": [' not in text
+        doc = json.loads(text)
+        assert doc["version"] == LIBRARY_VERSION == 2
+        for key in ("centroids", "summary_embeddings"):
+            assert set(doc[key]) == {"shape", "data"}
+            assert doc[key]["shape"] == [library.k, library.dimension]
+        assert all("centroid" not in nd and "summary_embedding" not in nd
+                   for nd in doc["nodes"])
 
     def test_truncated_file(self, library, tmp_path):
         path = tmp_path / "library.json"
@@ -360,10 +414,36 @@ class TestLibraryPersistence:
                                         "relation": "Causes",
                                         "weight": 1.0}]}, "Causes"),
         (lambda doc: {**doc, "nodes": 5}, "malformed"),
-        (lambda doc: {**doc, "nodes": [dict(doc["nodes"][0], centroid=[1.0]),
-                                       *doc["nodes"][1:]]}, "malformed"),
+        (_retensored("centroids", lambda a: a[:-1]),
+         r"tensor centroids: shape \[7, 48\], expected \[8, 48\]"),
+        (_retensored("centroids", lambda a: np.hstack([a, a[:, :1]])),
+         r"tensor centroids: shape \[8, 49\], expected \[8, 48\]"),
+        (_edge_edited(src=99), r"edge 0 src=99 is not a node id in \[0, 8\)"),
+        (_edge_edited(dst=-1), r"edge 0 dst=-1 is not a node id in \[0, 8\)"),
+        (lambda doc: {**doc, "nodes": [dict(nd, id=nd["id"] + 1)
+                                       for nd in doc["nodes"]]},
+         r"node 0 has id 1 \(field: id\)"),
+        (_edge_edited(weight="0.5"), "edge 0 weight='0.5' is not a finite number"),
+        (lambda doc: {**doc, "d": "48"}, r"d='48' is not a positive int \(field: d\)"),
+        (lambda doc: {**doc, "assignments": "abc"},
+         r"assignments are not ints in \[0, 8\)"),
+        (lambda doc: {**doc, "assignments": [8, *doc["assignments"][1:]]},
+         r"assignments are not ints in \[0, 8\)"),
+        (lambda doc: {**doc, "d": 49},
+         r"tensor centroids: shape \[8, 48\], expected \[8, 49\]"),
+        (_retensored("centroids", _with_nan),
+         "tensor centroids contains non-finite values"),
+        (lambda doc: {**doc, "version": 1}, "library version 1 != supported 2"),
+        (lambda doc: {**doc, "centroids": dict(doc["centroids"], data="not base64!")},
+         "tensor centroids: data is not base64"),
+        (lambda doc: {**doc, "summary_embeddings": dict(doc["summary_embeddings"],
+                                                        data="AAAA")},
+         r"tensor summary_embeddings: 3 bytes, shape \[8, 48\] needs 3072"),
     ], ids=["list", "edge-without-src", "unknown-relation", "nodes-not-a-list",
-            "ragged-centroids"])
+            "short-centroids", "wide-centroids", "edge-src-99", "edge-dst-minus-1",
+            "node-ids-not-in-order", "string-weight", "string-d",
+            "string-assignments", "assignment-out-of-range", "d-disagrees",
+            "nan-centroid", "version-1", "bad-base64", "short-data"])
     def test_damaged_file_is_schema_format_error(self, library, tmp_path,
                                                  damage, match):
         path = tmp_path / "library.json"
