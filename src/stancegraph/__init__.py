@@ -7,8 +7,7 @@ multi-layer kernel model with a softmax head predicts stance.
 """
 
 from .config import RunConfig
-from .fol import (FolGraph, Predicate, Relation, build_fol_graph,
-                  canonical_predicate_string, extract_fol_block, format_expr,
+from .fol import (FolGraph, Predicate, Relation, build_fol_graph, format_expr,
                   parse_fol_line)
 from .embed import make_provider, test_embed
 from .gateway import Gateway, render_p1, render_p2
@@ -20,13 +19,11 @@ from .train import AdamW, evaluate, load_dataset, macro_f1, train
 
 __all__ = [
     "RunConfig", "FolGraph", "Predicate", "Relation", "build_fol_graph",
-    "canonical_predicate_string", "extract_fol_block", "format_expr",
-    "parse_fol_line", "make_provider", "test_embed", "Gateway", "render_p1",
-    "render_p2", "induce_library", "kmeans", "load_library", "save_library",
-    "select_k", "silhouette", "augment_graph", "backward", "build_model",
-    "forward", "load_checkpoint", "prepare", "save_checkpoint", "AdamW",
-    "evaluate",
-    "load_dataset", "macro_f1", "train",
+    "format_expr", "parse_fol_line", "make_provider", "test_embed", "Gateway",
+    "render_p1", "render_p2", "induce_library", "kmeans", "load_library",
+    "save_library", "select_k", "silhouette", "augment_graph", "backward",
+    "build_model", "forward", "load_checkpoint", "prepare", "save_checkpoint",
+    "AdamW", "evaluate", "load_dataset", "macro_f1", "train",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
+import typing
 from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError
@@ -35,7 +37,7 @@ class RunConfig:
     layers: int = 2                   # L
     hidden: int = 64                  # h
     subgraph_hop: int = 1
-    relation_weights: dict = field(default_factory=lambda: {
+    relation_weights: dict[str, float] = field(default_factory=lambda: {
         "Implies": 1.0, "Conjunction": 0.5, "Disjunction": 0.5, "InstanceOf": 1.0})
     # training
     batch_size: int = 32
@@ -62,8 +64,28 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        """The config a JSON object gives; each value must have its field's type."""
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not _has_type(value, _TYPES[key]):
+                raise ConfigError(f"config key {key}: {value!r} is not {known[key]}")
         return cls(**data)
+
+
+_TYPES = typing.get_type_hints(RunConfig)  # evaluated once, not per from_dict call
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value has type `hint`; a bool is not an int, an int is a float."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:
+        return any(_has_type(value, arg) for arg in args)
+    if origin is list:
+        return type(value) is list and all(_has_type(v, args[0]) for v in value)
+    if origin is dict:
+        return type(value) is dict and all(
+            _has_type(k, args[0]) and _has_type(v, args[1]) for k, v in value.items())
+    return type(value) in ((int, float) if hint is float else (hint,))

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ProviderError
+from .errors import ConfigError, DimensionMismatchError, ProviderError
 from .gateway import PromptRequest, _DiskCache
 
 _MASK64 = (1 << 64) - 1
@@ -234,6 +234,8 @@ _PROVIDERS = {
 
 
 def make_provider(name: str, dimension: int, **kwargs) -> EmbeddingProvider:
+    if dimension < 1:
+        raise ConfigError(f"config key dimension: {dimension} is not a count")
     if name == "remote":
         if not kwargs.get("model"):
             raise ProviderError("the remote embedding provider needs model=")

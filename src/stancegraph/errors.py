@@ -53,8 +53,8 @@ class TransportTimeoutError(StanceGraphError):
 
 class ConfigError(StanceGraphError):
     """A run configuration that cannot be used: a config file that is not a
-    JSON object, a key that is not a RunConfig field, or an unknown
-    macro-F1 mode."""
+    JSON object, a key that is not a RunConfig field, a value of the wrong
+    type, a size that makes no valid model, or an unknown macro-F1 mode."""
 
 
 class GatewayConfigError(StanceGraphError):

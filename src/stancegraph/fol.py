@@ -63,10 +63,6 @@ class Connective:
 FolExpr = Union[Predicate, Connective]
 
 
-def canonical_predicate_string(p: Predicate) -> str:
-    return p.canonical()
-
-
 # ---------------------------------------------------------------------------
 # Lexer and parser
 
@@ -270,11 +266,6 @@ def split_fol_lines(llm_response: str) -> tuple[list[str], int]:
     return kept, dropped
 
 
-def extract_fol_block(llm_response: str) -> list[str]:
-    """Lines of the response that match the FOL line grammar, in order."""
-    return split_fol_lines(llm_response)[0]
-
-
 # ---------------------------------------------------------------------------
 # Instance graph
 
@@ -282,7 +273,6 @@ def extract_fol_block(llm_response: str) -> list[str]:
 class FolNode:
     predicate: Predicate
     embedding: Optional[np.ndarray] = None
-    cluster_id: Optional[int] = None
     is_schema: bool = False
 
     def canonical(self) -> str:
@@ -304,7 +294,6 @@ class FolGraph:
                     "name": n.predicate.name,
                     "args": list(n.predicate.args),
                     "negated": n.predicate.negated,
-                    "cluster_id": n.cluster_id,
                     "is_schema": n.is_schema,
                     "embedding": None if n.embedding is None else [float(x) for x in n.embedding],
                 }
@@ -321,7 +310,6 @@ class FolGraph:
             nodes.append(FolNode(
                 predicate=Predicate(nd["name"], tuple(nd["args"]), nd["negated"]),
                 embedding=None if emb is None else np.asarray(emb, dtype=np.float64),
-                cluster_id=nd.get("cluster_id"),
                 is_schema=nd.get("is_schema", False),
             ))
         edges = [(s, d, Relation(r)) for s, d, r in data["edges"]]

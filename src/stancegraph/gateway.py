@@ -20,7 +20,7 @@ import re
 import threading
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from .errors import (CacheFormatError, CacheMissError, EmptyFieldError,
@@ -38,8 +38,6 @@ P2_TEMPLATE = (
     "summarize the main points of these predicates.\n\n{predicates}"
 )
 
-DEFAULT_P2_MAX_LINES = 50
-
 
 @dataclass(frozen=True)
 class PromptRequest:
@@ -48,7 +46,6 @@ class PromptRequest:
     model_id: str = "default-model"
     temperature: float = 0.0
     max_tokens: int = 1024
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def cache_key(self) -> str:
         payload = json.dumps(
@@ -68,17 +65,11 @@ def render_p1(sentence: str, target: str, model_id: str = "default-model",
 
 
 def render_p2(predicate_strings: list[str], model_id: str = "default-model",
-              temperature: float = 0.0, max_tokens: int = 1024,
-              max_lines: int = DEFAULT_P2_MAX_LINES) -> PromptRequest:
+              temperature: float = 0.0, max_tokens: int = 1024) -> PromptRequest:
     if not predicate_strings:
         raise EmptyFieldError("predicate list must be non-empty")
-    truncated = len(predicate_strings) > max_lines
-    lines = predicate_strings[:max_lines]
-    req = PromptRequest("P2", P2_TEMPLATE.format(predicates="\n".join(lines)),
-                        model_id, temperature, max_tokens)
-    req.metadata["truncated"] = truncated
-    req.metadata["total_lines"] = len(predicate_strings)
-    return req
+    prompt = P2_TEMPLATE.format(predicates="\n".join(predicate_strings))
+    return PromptRequest("P2", prompt, model_id, temperature, max_tokens)
 
 
 def read_jsonl_cache(path: str) -> Iterator[tuple[int, Any]]:

@@ -290,8 +290,7 @@ def _summarize(members: list[str], gateway: Optional[Gateway],
     parts = []
     try:
         for start in range(0, len(members), p2_max_lines):
-            req = render_p2(members[start:start + p2_max_lines],
-                            model_id=model_id, max_lines=p2_max_lines)
+            req = render_p2(members[start:start + p2_max_lines], model_id=model_id)
             parts.append(gateway.complete(req).strip())
         return " ".join(p for p in parts if p), False
     except StanceGraphError:

@@ -6,19 +6,20 @@ bank of schema-derived filters with a p-step random-walk kernel
     k(G_v, H) = s^T W (A_sub ⊗ A_filt)^p s,   s = vec(X_sub X_filt^T)
 
 computed via the vec identity ((A ⊗ B) vec(S) = vec(A S B^T) with row-major
-vec), never materializing the Kronecker matrix. A graph is prepared once
-(`prepare`): its node features and every node's subgraph as node indices
-and a padded adjacency. `forward` takes a minibatch of graphs and
-concatenates their node rows, and `backward` runs it back from its cache,
-so one layer of the whole batch is a few batched tensor ops: subgraph
-features are rows of a zero-padded feature matrix, and the walk runs over
-(N, F, n_sub, n_filt) against the layer's stacked filters. Each node keeps
-its top-g kernel scores as features, layers stack, and a per-graph summed
-readout feeds a small ReLU head with softmax. All gradients are
-hand-derived reverse mode. The walk and the scores match scoring each pair
-alone bit for bit, because top-g breaks ties on the last bit; everything
-after them is GEMMs and segment sums over the batch, which match a
-per-graph loop to within rounding.
+vec), never materializing the Kronecker matrix. All layers share one
+subgraph size and radius, filter size, walk length p and g, which the model
+states once. A graph is prepared once (`prepare`): its node features and
+every node's subgraph as node indices and a padded adjacency. `forward`
+takes a minibatch of graphs and concatenates their node rows, and
+`backward` runs it back from its cache, so one layer of the whole batch is
+a few batched tensor ops: subgraph features are rows of a zero-padded
+feature matrix, and the walk runs over (N, F, n_sub, n_filt) against the
+layer's stacked filters. Each node keeps its top-g kernel scores as
+features, layers stack, and a per-graph summed readout feeds a small ReLU
+head with softmax. All gradients are hand-derived reverse mode. The walk
+and the scores match scoring each pair alone bit for bit, because top-g
+breaks ties on the last bit; everything after them is GEMMs and segment
+sums over the batch, which match a per-graph loop to within rounding.
 """
 
 from __future__ import annotations
@@ -33,21 +34,23 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import RunConfig
-from .errors import (DimensionMismatchError, FingerprintMismatchError,
-                     IndexOutOfRangeError, InvalidGError, SchemaFormatError,
-                     ShapeMismatchError)
+from .errors import (ConfigError, DimensionMismatchError,
+                     FingerprintMismatchError, IndexOutOfRangeError,
+                     InvalidGError, SchemaFormatError, ShapeMismatchError)
 from .fol import FolGraph, FolNode, Predicate, Relation
 from .induce import (SchemaLibrary, _decode, _encode, assign_to_cluster,
                      extract_filters)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # The stacked parameter arrays of a layer and of the head, by attribute name.
 LAYER_TENSORS = ("filter_feats", "filter_adjs", "W")
 HEAD_TENSORS = ("W_h", "b_h", "W_o", "b_o")
-
-
-def relation_weights_from_config(cfg: RunConfig) -> dict[Relation, float]:
-    return {Relation(k): float(v) for k, v in cfg.relation_weights.items()}
+# The sizes every layer shares, stated once on the model.
+SIZES = ("p", "g", "hop", "n_sub", "n_filt")
+# Each count a model is built from: its RunConfig field and least valid value.
+COUNTS = {"dimension": ("dimension", 1), "layers": ("layers", 1), "hidden": ("hidden", 1),
+          "n_filters": ("n_filters", 1), "p": ("walk_length", 0), "g": ("top_g", 1),
+          "hop": ("subgraph_hop", 0), "n_sub": ("n_sub", 1), "n_filt": ("n_filt", 1)}
 
 
 def graph_adjacency(graph: FolGraph,
@@ -169,15 +172,6 @@ class KernelLayerParams:
     filter_feats: np.ndarray          # (F, n_filt, f)
     filter_adjs: np.ndarray           # (F, n_filt, n_filt)
     W: np.ndarray                     # (q, q), q = n_sub * n_filt
-    p: int
-    g: int
-    hop: int
-    n_sub: int
-    n_filt: int
-
-    @property
-    def n_filters(self) -> int:
-        return len(self.filter_feats)
 
 
 @dataclass
@@ -190,6 +184,11 @@ class Model:
     dimension: int
     labels: list[str]
     relation_weights: dict[Relation, float]
+    p: int                            # walk steps
+    g: int                            # kernel scores kept per node and layer
+    hop: int                          # subgraph radius
+    n_sub: int                        # subgraph size
+    n_filt: int                       # filter size
     library_fingerprint: str = ""
     config_fingerprint: str = ""
     seed: int = 0
@@ -224,13 +223,21 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
                 library_fingerprint: str = "") -> Model:
     """Construct the model; layer-0 filters come from schema subgraphs unless
     the random-filters ablation is set, deeper layers carry seeded random
-    features over the schema adjacency."""
+    features over the schema adjacency; ConfigError names the key of a bad size."""
     labels = labels or list(cfg.label_set)
+    try:
+        weights = {Relation(k): float(v) for k, v in cfg.relation_weights.items()}
+    except ValueError as exc:
+        raise ConfigError(f"config key relation_weights: {exc}") from exc
     rng = np.random.default_rng(cfg.seed)
     d = cfg.dimension if library is None else library.dimension
     n_filters = cfg.n_filters
     if library is not None:
         n_filters = min(n_filters, len(library.graph.nodes))
+    sizes = {"p": cfg.walk_length, "g": min(cfg.top_g, n_filters),
+             "hop": cfg.subgraph_hop, "n_sub": cfg.n_sub, "n_filt": cfg.n_filt}
+    _check_counts(dict(dimension=d, layers=cfg.layers, hidden=cfg.hidden,
+                       n_filters=n_filters, **sizes), ConfigError)
     if library is not None and not cfg.random_filters:
         schema_filters = extract_filters(library.graph, n_filters,
                                          hop=cfg.filter_hop, size_cap=cfg.size_cap)
@@ -244,30 +251,27 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
             np.fill_diagonal(adj, 0.0)
             base.append((feat, adj))
 
-    q = cfg.n_sub * cfg.n_filt
     layers = []
-    feat_dim = d
     for level in range(cfg.layers):
         if level == 0:
             feats = np.stack([f for f, _ in base])
         else:
-            feats = rng.normal(0.0, 0.1, size=(n_filters, cfg.n_filt, feat_dim))
+            feats = rng.normal(0.0, 0.1, size=(n_filters, cfg.n_filt, sizes["g"]))
         layers.append(KernelLayerParams(
             filter_feats=feats, filter_adjs=np.stack([a for _, a in base]),
-            W=np.eye(q), p=cfg.walk_length, g=min(cfg.top_g, n_filters),
-            hop=cfg.subgraph_hop, n_sub=cfg.n_sub, n_filt=cfg.n_filt))
-        feat_dim = layers[-1].g
+            W=np.eye(cfg.n_sub * cfg.n_filt)))
 
-    D = d + sum(layer.g for layer in layers)
+    D = d + sizes["g"] * len(layers)
     W_h = rng.normal(0.0, 1.0 / np.sqrt(D), size=(cfg.hidden, D))
     b_h = np.zeros(cfg.hidden, dtype=np.float64)
     W_o = rng.normal(0.0, 1.0 / np.sqrt(cfg.hidden), size=(len(labels), cfg.hidden))
     b_o = np.zeros(len(labels), dtype=np.float64)
-    return Model(layers=layers, W_h=W_h, b_h=b_h, W_o=W_o, b_o=b_o,
-                 dimension=d, labels=labels,
-                 relation_weights=relation_weights_from_config(cfg),
-                 library_fingerprint=library_fingerprint,
-                 config_fingerprint=cfg.fingerprint(), seed=cfg.seed)
+    model = Model(layers=layers, W_h=W_h, b_h=b_h, W_o=W_o, b_o=b_o,
+                  dimension=d, labels=labels, relation_weights=weights, **sizes,
+                  library_fingerprint=library_fingerprint,
+                  config_fingerprint=cfg.fingerprint(), seed=cfg.seed)
+    _check_consistent(model, ConfigError)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +280,15 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
 @dataclass
 class PreparedGraph:
     """What the kernel reads from one graph that no parameter changes: the
-    node features and, for each (hop, n_sub) the model's layers use, every
-    node's subgraph. Built once per graph by `prepare`; every forward and
-    backward pass over the graph reuses it."""
-    features: np.ndarray                              # (N, d)
-    subgraphs: dict[tuple[int, int], SubgraphBatch]
+    node features and every node's subgraph. Built once per graph by
+    `prepare`; every forward and backward pass over the graph reuses it."""
+    features: np.ndarray                 # (N, d)
+    subgraphs: SubgraphBatch
 
 
 def prepare(graph: FolGraph, model: Model) -> PreparedGraph:
     """`graph` as `forward` and `backward` read it under `model`'s relation
-    weights and layer shapes."""
+    weights and subgraph sizes."""
     if not graph.nodes:
         raise ShapeMismatchError("cannot run forward on an empty graph")
     X = np.stack([np.asarray(n.embedding, dtype=np.float64) for n in graph.nodes])
@@ -293,15 +296,12 @@ def prepare(graph: FolGraph, model: Model) -> PreparedGraph:
         raise DimensionMismatchError(
             f"graph embedding d={X.shape[1]}, model d={model.dimension}")
     adjacency = graph_adjacency(graph, model.relation_weights)
-    return PreparedGraph(features=X, subgraphs={
-        key: khop_subgraphs(adjacency, *key)
-        for key in {(layer.hop, layer.n_sub) for layer in model.layers}})
+    return PreparedGraph(X, khop_subgraphs(adjacency, model.hop, model.n_sub))
 
 
-def _batch_subgraphs(batch: list[PreparedGraph], key: tuple[int, int],
-                     offsets: list[int]) -> SubgraphBatch:
-    """The batch's subgraphs for `key`, over its concatenated node rows."""
-    parts = [graph.subgraphs[key] for graph in batch]
+def _batch_subgraphs(batch: list[PreparedGraph], offsets: list[int]) -> SubgraphBatch:
+    """The batch's subgraphs over its concatenated node rows."""
+    parts = [graph.subgraphs for graph in batch]
     if len(parts) == 1:
         return parts[0]
     return SubgraphBatch(
@@ -314,7 +314,6 @@ def _batch_subgraphs(batch: list[PreparedGraph], key: tuple[int, int],
 @dataclass
 class LayerCache:
     """One layer's forward state over a batch's N node rows."""
-    subgraphs: SubgraphBatch             # node_indices are batch node rows
     steps: list[np.ndarray]              # S_0 .. S_p, each (N, F, n_sub, n_filt)
     scores: np.ndarray                   # (N, F)
     selected: np.ndarray                 # (N, g) filter indices, ascending
@@ -326,6 +325,7 @@ class ForwardCache:
     offsets[b]:offsets[b + 1] of every per-node array; phi .. probabilities
     have one row per graph."""
     offsets: list[int]                   # B + 1 node row boundaries
+    subgraphs: SubgraphBatch             # node_indices are batch node rows
     layer_inputs: list[np.ndarray]       # X_0 .. X_L (layer_inputs[l] feeds layer l)
     layers: list[LayerCache]
     phi: np.ndarray
@@ -343,18 +343,19 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def layer_forward(features: np.ndarray, subgraphs: SubgraphBatch,
-                  layer: KernelLayerParams) -> tuple[np.ndarray, LayerCache]:
+                  layer: KernelLayerParams, p: int, g: int
+                  ) -> tuple[np.ndarray, LayerCache]:
     """Per-node kernel features of node rows `features` (N, f) whose
-    subgraphs are `subgraphs`: all-filter scores, top-g selection, the
-    selected kernel values in filter-index order. The cache feeds backward."""
+    subgraphs are `subgraphs`: all-filter p-step scores, top-g selection,
+    the selected kernel values in filter-index order. The cache feeds
+    backward."""
     sub_feat = _zero_row(features)[subgraphs.node_indices]
     steps = _walk(sub_feat[:, None], subgraphs.adjacency[:, None],
-                  layer.filter_feats, layer.filter_adjs, layer.p)
+                  layer.filter_feats, layer.filter_adjs, p)
     scores, _ = _kernel_values(steps[0], steps[-1], layer.W)
-    selected = _topg(scores, layer.g)
+    selected = _topg(scores, g)
     out = np.take_along_axis(scores, selected, axis=1)
-    return out, LayerCache(subgraphs=subgraphs, steps=steps, scores=scores,
-                           selected=selected)
+    return out, LayerCache(steps=steps, scores=scores, selected=selected)
 
 
 def readout(layer_inputs: list[np.ndarray], offsets: Sequence[int]) -> np.ndarray:
@@ -380,13 +381,11 @@ def forward(graphs: Sequence[Union[FolGraph, PreparedGraph]],
     offsets = [0]
     for graph in batch:
         offsets.append(offsets[-1] + len(graph.features))
-    subgraphs = {key: _batch_subgraphs(batch, key, offsets)
-                 for key in batch[0].subgraphs}
+    subgraphs = _batch_subgraphs(batch, offsets)
     layer_inputs = [np.concatenate([graph.features for graph in batch])]
     layer_caches: list[LayerCache] = []
     for layer in model.layers:
-        out, layer_cache = layer_forward(
-            layer_inputs[-1], subgraphs[layer.hop, layer.n_sub], layer)
+        out, layer_cache = layer_forward(layer_inputs[-1], subgraphs, layer, model.p, model.g)
         layer_caches.append(layer_cache)
         layer_inputs.append(out)
 
@@ -394,8 +393,8 @@ def forward(graphs: Sequence[Union[FolGraph, PreparedGraph]],
     pre_hidden = phi @ model.W_h.T + model.b_h
     hidden = np.maximum(pre_hidden, 0.0)
     logits = hidden @ model.W_o.T + model.b_o
-    return ForwardCache(offsets, layer_inputs, layer_caches, phi, pre_hidden,
-                        hidden, logits, softmax(logits))
+    return ForwardCache(offsets, subgraphs, layer_inputs, layer_caches, phi,
+                        pre_hidden, hidden, logits, softmax(logits))
 
 
 def cross_entropy(probabilities: np.ndarray, gold_index: int) -> float:
@@ -457,18 +456,18 @@ def backward(model: Model, golds: Sequence[int],
         filters = lc.selected[nodes, slots]
         G0, g_adj, g_w = _pair_backward(
             d_X[nodes, slots], [s[nodes, filters] for s in lc.steps],
-            lc.subgraphs.adjacency[nodes], layer.filter_adjs[filters], layer.W)
+            cache.subgraphs.adjacency[nodes], layer.filter_adjs[filters], layer.W)
         # sum G0 onto (node row, filter): row j of pair i is node row
         # node_indices[nodes[i], j]; S_0 = X_sub Xf^T then gives both the
         # filter-feature and the input gradient as one GEMM each
-        n_filters, n_filt = layer.n_filters, layer.n_filt
-        rows = lc.subgraphs.node_indices[nodes]
+        n_filters, n_filt = len(layer.filter_feats), model.n_filt
+        rows = cache.subgraphs.node_indices[nodes]
         valid = rows >= 0
         g_rows = _scatter(G0[valid], (rows * n_filters + filters[:, None])[valid],
                           n_rows * n_filters).reshape(n_rows, n_filters * n_filt)
         g_feat = g_rows.T @ cache.layer_inputs[li]
-        grad_layers.insert(0, replace(
-            layer, filter_feats=g_feat.reshape(n_filters, n_filt, -1),
+        grad_layers.insert(0, KernelLayerParams(
+            filter_feats=g_feat.reshape(n_filters, n_filt, -1),
             filter_adjs=_scatter(g_adj, filters, n_filters), W=g_w))
         if li:
             d_X = segments[li][node_graph] + g_rows @ layer.filter_feats.reshape(
@@ -487,8 +486,7 @@ def augment_graph(graph: FolGraph, library: SchemaLibrary) -> FolGraph:
     if any(rel is Relation.INSTANCE_OF for _, _, rel in graph.edges):
         return graph
     nodes = [FolNode(predicate=n.predicate, embedding=n.embedding,
-                     cluster_id=n.cluster_id, is_schema=n.is_schema)
-             for n in graph.nodes]
+                     is_schema=n.is_schema) for n in graph.nodes]
     edges = list(graph.edges)
     by_id = {n.id: n for n in library.graph.nodes}
     schema_index: dict[int, int] = {}
@@ -498,14 +496,13 @@ def augment_graph(graph: FolGraph, library: SchemaLibrary) -> FolGraph:
         if np.asarray(node.embedding).shape[0] != library.dimension:
             raise DimensionMismatchError("node embedding does not match library d")
         cid = assign_to_cluster(node.embedding, library.clustering)
-        node.cluster_id = cid
         if cid not in schema_index:
             schema = by_id[cid]
             schema_index[cid] = len(nodes)
             nodes.append(FolNode(
                 predicate=Predicate(name=f"Schema{cid}", args=()),
                 embedding=np.asarray(schema.summary_embedding, dtype=np.float64),
-                cluster_id=cid, is_schema=True))
+                is_schema=True))
         edges.append((idx, schema_index[cid], Relation.INSTANCE_OF))
     return FolGraph(nodes=nodes, edges=edges)
 
@@ -513,29 +510,24 @@ def augment_graph(graph: FolGraph, library: SchemaLibrary) -> FolGraph:
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# A checkpoint is one JSON object written with sort_keys. Its sizes, labels,
-# relation weights and fingerprints are plain JSON; each stacked parameter
-# array (LAYER_TENSORS of each layer, HEAD_TENSORS) is one tensor entry of
-# the codec the schema library also uses (induce._encode/_decode).
+# A checkpoint is one JSON object written with sort_keys. Its sizes (SIZES once
+# for the model), labels, relation weights and fingerprints are plain JSON;
+# each stacked parameter array (LAYER_TENSORS of each layer, HEAD_TENSORS) is
+# one tensor entry of the codec the schema library also uses (induce._encode).
 
 def save_checkpoint(model: Model, path: str) -> None:
     doc = {
         "version": CHECKPOINT_VERSION,
         "dimension": model.dimension,
+        **{name: getattr(model, name) for name in SIZES},
         "labels": model.labels,
         "relation_weights": {r.value: w for r, w in model.relation_weights.items()},
         "library_fingerprint": model.library_fingerprint,
         "config_fingerprint": model.config_fingerprint,
         "seed": model.seed,
         "head": {name: _encode(getattr(model, name)) for name in HEAD_TENSORS},
-        "layers": [
-            {
-                "p": layer.p, "g": layer.g, "hop": layer.hop,
-                "n_sub": layer.n_sub, "n_filt": layer.n_filt,
-                **{name: _encode(getattr(layer, name)) for name in LAYER_TENSORS},
-            }
-            for layer in model.layers
-        ],
+        "layers": [{name: _encode(getattr(layer, name)) for name in LAYER_TENSORS}
+                   for layer in model.layers],
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -563,17 +555,13 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
             f"checkpoint was trained against library {doc['library_fingerprint']}, "
             f"got {library_fingerprint} (use --force to override)")
     try:
-        layers = []
-        for li, ld in enumerate(doc["layers"]):
-            layers.append(KernelLayerParams(
-                **{name: _decode(ld[name], f"layer{li}.{name}")
-                   for name in LAYER_TENSORS},
-                p=ld["p"], g=ld["g"], hop=ld["hop"],
-                n_sub=ld["n_sub"], n_filt=ld["n_filt"]))
+        layers = [KernelLayerParams(**{name: _decode(ld[name], f"layer{li}.{name}")
+                                       for name in LAYER_TENSORS})
+                  for li, ld in enumerate(doc["layers"])]
         head = {name: _decode(doc["head"][name], f"head.{name}")
                 for name in HEAD_TENSORS}
         model = Model(
-            layers=layers, **head,
+            layers=layers, **head, **{name: doc[name] for name in SIZES},
             dimension=doc["dimension"], labels=list(doc["labels"]),
             relation_weights={Relation(k): float(v)
                               for k, v in doc["relation_weights"].items()},
@@ -588,35 +576,45 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
     return model
 
 
-def _check_consistent(model: Model) -> None:
-    """Raise SchemaFormatError unless a loaded model's sizes are counts, each
-    layer's g is at most its filter count, and its filter, W and head arrays
-    have the shapes those sizes and its labels give."""
-    def require(ok: bool, what: str) -> None:
-        if not ok:
-            raise SchemaFormatError(f"inconsistent checkpoint: {what}")
+def _require(ok: bool, what: str, error: type) -> None:
+    if not ok:
+        raise error(f"inconsistent model: {what}")
 
-    least = {"p": 0, "hop": 0, "n_sub": 1, "n_filt": 1, "g": 1}
-    for name, value, low in [("dimension", model.dimension, 1)] + [
-            (f"layer {li} {name}", getattr(layer, name), least[name])
-            for li, layer in enumerate(model.layers) for name in least]:
-        require(type(value) is int and value >= low, f"{name}={value!r}")
-    require(bool(model.labels), "no labels")
-    widths = [model.dimension] + [layer.g for layer in model.layers]
-    hidden, classes = model.b_h.size, len(model.labels)
+
+def _check_counts(counts: dict, error: type) -> None:
+    """Raise `error` naming the config key of the first of `counts` that COUNTS rules out."""
+    for name, value in counts.items():
+        key, low = COUNTS[name]
+        _require(type(value) is int and value >= low,
+                 f"{name}={value!r} (config key {key})", error)
+
+
+def _check_consistent(model: Model, error: type = SchemaFormatError) -> None:
+    """Raise `error` unless the model's sizes are counts, g is at most each layer's
+    filter count, every relation has a weight, and the filter, W and head arrays
+    have the shapes those sizes and the labels give. `build_model` and
+    `load_checkpoint` both run it, so a model one makes the other accepts."""
+    _check_counts(dict(dimension=model.dimension, layers=len(model.layers),
+                       hidden=model.b_h.size,
+                       **{name: getattr(model, name) for name in SIZES}), error)
+    _require(bool(model.labels), "no labels", error)
+    _require(set(model.relation_weights) == set(Relation), "relation_weights must weigh each "
+             f"of {[r.value for r in Relation]} (config key relation_weights)", error)
+    widths = [model.dimension] + [model.g] * len(model.layers)
+    hidden, classes, m = model.b_h.size, len(model.labels), model.n_filt
     shapes = [("head.W_h", model.W_h, (hidden, sum(widths))),
               ("head.b_h", model.b_h, (hidden,)),
               ("head.W_o", model.W_o, (classes, hidden)),
               ("head.b_o", model.b_o, (classes,))]
     for li, layer in enumerate(model.layers):
-        F, m, q = len(layer.filter_feats), layer.n_filt, layer.n_sub * layer.n_filt
-        require(layer.g <= F, f"layer {li} g={layer.g} exceeds its {F} filters")
+        F = len(layer.filter_feats)
+        _require(model.g <= F, f"layer {li} g={model.g} exceeds its {F} filters", error)
         shapes += [(f"layer {li} filter features", layer.filter_feats, (F, m, widths[li])),
                    (f"layer {li} filter adjacencies", layer.filter_adjs, (F, m, m)),
-                   (f"layer {li} W", layer.W, (q, q))]
+                   (f"layer {li} W", layer.W, (model.n_sub * m,) * 2)]
     for name, array, expected in shapes:
-        require(array.shape == expected, f"{name} {array.shape}, expected {expected} "
-                f"for {hidden} hidden units and {classes} labels")
+        _require(array.shape == expected, f"{name} {array.shape}, expected {expected} "
+                 f"for {hidden} hidden units and {classes} labels", error)
 
 
 def clone_model(model: Model) -> Model:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fol import extract_fol_block
+from .fol import split_fol_lines
 from .gateway import P1_TEMPLATE, PromptRequest
 from .train import LabeledExample
 
@@ -116,7 +116,7 @@ class SyntheticResponder:
                 return self._p1[req.filled_prompt]
             except KeyError:
                 raise AssertionError("P1 prompt not generated by this corpus") from None
-        lines = extract_fol_block(req.filled_prompt)
+        lines, _ = split_fol_lines(req.filled_prompt)
         heads = []
         for line in lines:
             head = line.split("(", 1)[0].strip().lstrip("¬~")

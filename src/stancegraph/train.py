@@ -213,6 +213,8 @@ def train(train_set: list[LabeledExample], dev_set: list[LabeledExample],
         raise EmptySetError("empty training set")
     if not dev_set:
         raise EmptySetError("empty dev set")
+    if cfg.batch_size < 1:
+        raise ConfigError(f"config key batch_size: {cfg.batch_size} is not a count")
     train_set, dev_set = ([replace(ex, graph=prepare(ex.graph, model)) for ex in examples]
                           for examples in (train_set, dev_set))
     rng = np.random.default_rng(cfg.seed)

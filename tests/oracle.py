@@ -70,25 +70,24 @@ def gather_forward(graph, model):
     the subgraphs and a 1-D head: the minibatch engine's reference."""
     X = np.stack([np.asarray(n.embedding, dtype=np.float64) for n in graph.nodes])
     adjacency = graph_adjacency(graph, model.relation_weights)
-    gathers = {key: _gather_subgraphs(adjacency, *key)
-               for key in {(layer.hop, layer.n_sub) for layer in model.layers}}
+    sub = _gather_subgraphs(adjacency, model.hop, model.n_sub)
     layer_inputs, layers = [X], []
     for layer in model.layers:
-        sub = gathers[layer.hop, layer.n_sub]
         sub_feat = sub.gather @ layer_inputs[-1]
         steps = _walk(sub_feat[:, None], sub.adjacency[:, None],
-                      layer.filter_feats, layer.filter_adjs, layer.p)
+                      layer.filter_feats, layer.filter_adjs, model.p)
         scores, _ = _kernel_values(steps[0], steps[-1], layer.W)
-        selected = _topg(scores, layer.g)
-        layers.append(SimpleNamespace(subgraphs=sub, sub_feat=sub_feat,
-                                      steps=steps, selected=selected))
+        selected = _topg(scores, model.g)
+        layers.append(SimpleNamespace(sub_feat=sub_feat, steps=steps,
+                                      selected=selected))
         layer_inputs.append(np.take_along_axis(scores, selected, axis=1))
     phi = np.concatenate([lf.sum(axis=0) for lf in layer_inputs])
     pre_hidden = model.W_h @ phi + model.b_h
     hidden = np.maximum(pre_hidden, 0.0)
     logits = model.W_o @ hidden + model.b_o
     exp = np.exp(logits - np.max(logits))
-    return SimpleNamespace(layer_inputs=layer_inputs, layers=layers, phi=phi,
+    return SimpleNamespace(subgraphs=sub, layer_inputs=layer_inputs,
+                           layers=layers, phi=phi,
                            pre_hidden=pre_hidden, hidden=hidden,
                            probabilities=exp / exp.sum())
 
@@ -133,7 +132,7 @@ def gather_backward(model, gold, cache, magnitude=False):
         filters = lc.selected[nodes, slots]
         g_w, g_feat, g_adj, g_sub = _gather_pair_backward(
             d_X[nodes, slots], [t(s[nodes, filters]) for s in lc.steps],
-            t(lc.sub_feat[nodes]), t(lc.subgraphs.adjacency[nodes]),
+            t(lc.sub_feat[nodes]), t(cache.subgraphs.adjacency[nodes]),
             t(layer.filter_feats[filters]), t(layer.filter_adjs[filters]),
             t(layer.W))
         feats = np.zeros_like(layer.filter_feats)
@@ -143,7 +142,7 @@ def gather_backward(model, gold, cache, magnitude=False):
         grad_layers.insert(0, replace(layer, filter_feats=feats,
                                       filter_adjs=adjs, W=g_w.sum(axis=0)))
         if li:
-            rows = lc.subgraphs.node_indices[nodes]
+            rows = cache.subgraphs.node_indices[nodes]
             d_X = np.tile(segments[li], (n_nodes, 1))
             np.add.at(d_X, rows[rows >= 0], g_sub[rows >= 0])
     return replace(model, layers=grad_layers,

@@ -325,6 +325,40 @@ class TestErrorPaths:
         assert result.exit_code == 0, result.output
         assert seen == [2]
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "n_sub", "8"),
+        ("train", "relation_weights", {"Implies": "a"}),
+        ("train", "relation_weights", {"Implies": 1.0}),
+        ("train", "relation_weights", {"Causes": 1.0}),
+        ("train", "learning_rate", "x"),
+        ("train", "batch_size", 0),
+        ("train", "n_filt", 0),
+        ("generate-fol", "dimension", 0),
+        ("train", "hidden", 0),
+        ("train", "walk_length", -1),
+    ], ids=["string-n_sub", "string-relation-weight", "missing-relation-weights",
+            "unknown-relation", "string-learning_rate", "batch_size-0", "n_filt-0",
+            "dimension-0", "hidden-0", "walk_length-minus-1"])
+    def test_misconfigured_run_names_the_key(self, pipeline, config_path,
+                                             tmp_path, command, key, value):
+        """A config value of the wrong type, or a size that makes no valid
+        model, stops the command before it writes anything."""
+        config = tmp_path / "config.json"
+        with open(config_path, encoding="utf-8") as fh:
+            config.write_text(json.dumps(
+                {**json.load(fh), "max_epochs": 2, key: value}))
+        out = tmp_path / "out.json"
+        if command == "train":
+            args = [pipeline["train_graphs"], pipeline["dev_graphs"],
+                    pipeline["library"], str(out)]
+        else:
+            args = [*pipeline["common"][2:], str(DATA_DIR / "dev.csv"), str(out)]
+        result = CliRunner().invoke(main, [command, "--config", str(config), *args])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"config key {key}" in result.output
+        assert not out.exists()
+
     def test_inspect_missing_file(self):
         result = CliRunner().invoke(main, ["inspect", "/no/such/library.json"])
         assert result.exit_code != 0

@@ -9,8 +9,7 @@ from stancegraph.embed import HashEmbeddingProvider
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import EmptyGraphError, ParseError
 from stancegraph.fol import (MAX_NESTING, Connective, Predicate, Relation,
-                             build_fol_graph, canonical_predicate_string,
-                             extract_fol_block, format_expr, parse_fol_line,
+                             build_fol_graph, format_expr, parse_fol_line,
                              predicate_leaves, split_fol_lines)
 from stancegraph.pipeline import GenerateStats, rationale_to_graph
 from tests.oracle import oracle_parse_fol_line
@@ -19,13 +18,13 @@ from tests.oracle import oracle_parse_fol_line
 class TestExtractFolBlock:
     def test_single_matching_line(self):
         text = "The claim holds.\nSupport(Masks)\nTherefore favor."
-        assert extract_fol_block(text) == ["Support(Masks)"]
+        assert split_fol_lines(text)[0] == ["Support(Masks)"]
 
     def test_empty_input(self):
-        assert extract_fol_block("") == []
+        assert split_fol_lines("") == ([], 0)
 
     def test_grammar_line_kept_noise_dropped(self):
-        assert extract_fol_block("A(x) ∧ B(x) → C(x)\nnoise") == \
+        assert split_fol_lines("A(x) ∧ B(x) → C(x)\nnoise")[0] == \
             ["A(x) ∧ B(x) → C(x)"]
 
     def test_dropped_count(self):
@@ -114,15 +113,15 @@ class TestBuildFolGraph:
 
 class TestCanonical:
     def test_args(self):
-        assert canonical_predicate_string(
-            Predicate("Reduce", ("Vaccines", "Risk"))) == "Reduce(Vaccines,Risk)"
+        assert Predicate("Reduce", ("Vaccines", "Risk")).canonical() == \
+            "Reduce(Vaccines,Risk)"
 
     def test_negated(self):
-        assert canonical_predicate_string(
-            Predicate("Safe", ("Policy",), negated=True)) == "¬Safe(Policy)"
+        assert Predicate("Safe", ("Policy",), negated=True).canonical() == \
+            "¬Safe(Policy)"
 
     def test_zero_arity(self):
-        assert canonical_predicate_string(Predicate("P", ())) == "P()"
+        assert Predicate("P", ()).canonical() == "P()"
 
 
 # Names the grammar reads as word operators are not predicate names.

@@ -48,14 +48,6 @@ class TestRenderP2:
         req = render_p2(["Solo(X)"])
         assert "Solo(X)" in req.filled_prompt
 
-    def test_truncation(self):
-        many = [f"P{i}(x)" for i in range(500)]
-        req = render_p2(many, max_lines=50)
-        assert req.metadata["truncated"] is True
-        assert req.metadata["total_lines"] == 500
-        assert "P49(x)" in req.filled_prompt
-        assert "P50(x)" not in req.filled_prompt
-
     def test_empty_list(self):
         with pytest.raises(EmptyFieldError):
             render_p2([])
@@ -68,11 +60,6 @@ class TestCacheKey:
         assert base.cache_key() != PromptRequest("P1", "prompt", "model-b", 0.0).cache_key()
         assert base.cache_key() != PromptRequest("P1", "prompt", "model-a", 0.7).cache_key()
         assert base.cache_key() != PromptRequest("P2", "prompt", "model-a", 0.0).cache_key()
-
-    def test_key_ignores_metadata(self):
-        a = PromptRequest("P1", "prompt", metadata={"x": 1})
-        b = PromptRequest("P1", "prompt", metadata={"x": 2})
-        assert a.cache_key() == b.cache_key()
 
 
 class TestGatewayModes:

@@ -2,16 +2,18 @@
 
 import base64
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from stancegraph.embed import test_embed as embed_text
-from stancegraph.errors import (DimensionMismatchError, EmptySetError,
+from stancegraph.errors import (ConfigError, DimensionMismatchError, EmptySetError,
                                 FingerprintMismatchError, InvalidGError,
                                 SchemaFormatError, ShapeMismatchError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
-from stancegraph.kernel import (PaddedSubgraph, augment_graph, backward,
+from stancegraph.kernel import (COUNTS, LAYER_TENSORS, SIZES, KernelLayerParams,
+                                PaddedSubgraph, augment_graph, backward,
                                 build_model, cross_entropy, forward,
                                 graph_adjacency, khop_subgraph, khop_subgraphs,
                                 layer_forward, load_checkpoint, readout,
@@ -148,6 +150,12 @@ class TestTopgSelect:
             topg_select([1.0], 0)
 
 
+def _layer_forward(X, adjacency, layer, model):
+    """`layer` of `model` over node features X of one graph."""
+    subgraphs = khop_subgraphs(adjacency, model.hop, model.n_sub)
+    return layer_forward(X, subgraphs, layer, model.p, model.g)
+
+
 class TestLayerForward:
     def _model(self, **overrides):
         options = dict(dimension=8, n_filters=3, n_sub=4, n_filt=3,
@@ -162,12 +170,11 @@ class TestLayerForward:
         adjacency = graph_adjacency(graph, model.relation_weights)
         X = np.stack([n.embedding for n in graph.nodes])
         layer = model.layers[0]
-        out, _ = layer_forward(
-            X, khop_subgraphs(adjacency, layer.hop, layer.n_sub), layer)
+        out, _ = _layer_forward(X, adjacency, layer, model)
         for v in range(3):
-            sub = khop_subgraph(adjacency, X, v, layer.hop, layer.n_sub)
+            sub = khop_subgraph(adjacency, X, v, model.hop, model.n_sub)
             expected = rw_kernel(sub, layer.filter_feats[0],
-                                 layer.filter_adjs[0], layer.W, layer.p)
+                                 layer.filter_adjs[0], layer.W, model.p)
             assert out[v, 0] == pytest.approx(expected)
 
     def test_duplicate_filters_equal_columns(self):
@@ -178,8 +185,7 @@ class TestLayerForward:
         graph = _chain_graph(3)
         adjacency = graph_adjacency(graph, model.relation_weights)
         X = np.stack([n.embedding for n in graph.nodes])
-        out, _ = layer_forward(
-            X, khop_subgraphs(adjacency, layer.hop, layer.n_sub), layer)
+        out, _ = _layer_forward(X, adjacency, layer, model)
         np.testing.assert_allclose(out[:, 0], out[:, 1])
 
     def test_node_permutation_permutes_rows(self):
@@ -188,12 +194,10 @@ class TestLayerForward:
         graph = _chain_graph(4)
         adjacency = graph_adjacency(graph, model.relation_weights)
         X = np.stack([n.embedding for n in graph.nodes])
-        out, _ = layer_forward(
-            X, khop_subgraphs(adjacency, layer.hop, layer.n_sub), layer)
+        out, _ = _layer_forward(X, adjacency, layer, model)
         perm = np.array([2, 0, 3, 1])
         adj_p = adjacency[np.ix_(perm, perm)]
-        out_p, _ = layer_forward(
-            X[perm], khop_subgraphs(adj_p, layer.hop, layer.n_sub), layer)
+        out_p, _ = _layer_forward(X[perm], adj_p, layer, model)
         np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
@@ -402,7 +406,15 @@ def _g_above_filters(text):
     """Layer 0 keeping g=3 of its 2 filters, with the head widened to match,
     so that only g disagrees with the rest of the file."""
     widened = _retensored(_head("W_h"), lambda a: np.hstack([a, a[:, -1:]]))
-    return widened(_edited(lambda doc: doc["layers"][0].update(g=3))(text))
+    return widened(_edited(lambda doc: doc.update(g=3))(text))
+
+
+def _version_2(doc):
+    """The checkpoint as version 2 wrote it: its sizes in every layer entry."""
+    sizes = {name: doc.pop(name) for name in SIZES}
+    for layer in doc["layers"]:
+        layer.update(sizes)
+    doc["version"] = 2
 
 
 def _small_checkpoint(tmp_path, layers=1):
@@ -449,6 +461,42 @@ class TestCheckpoints:
         assert len(entries) == 10
         assert all(set(entry) == {"shape", "data"} for entry in entries)
 
+    def test_layers_hold_only_their_tensors(self, tmp_path):
+        assert tuple(f.name for f in fields(KernelLayerParams)) == LAYER_TENSORS
+        doc = json.loads(_small_checkpoint(tmp_path, layers=2).read_text())
+        assert [set(layer) for layer in doc["layers"]] == [set(LAYER_TENSORS)] * 2
+        assert {name: doc[name] for name in SIZES} == dict(
+            p=2, g=2, hop=1, n_sub=4, n_filt=3)
+
+    @pytest.mark.parametrize("key, value, damage, match", [
+        ("hidden", 0,
+         lambda m: replace(m, W_h=m.W_h[:0], b_h=m.b_h[:0], W_o=m.W_o[:, :0]),
+         r"inconsistent model: hidden=0 \(config key hidden\)"),
+        ("walk_length", -1, lambda m: replace(m, p=-1),
+         r"inconsistent model: p=-1 \(config key walk_length\)"),
+    ], ids=["hidden-0", "walk_length-minus-1"])
+    def test_build_model_rejects_what_loading_rejects(self, tmp_path, key,
+                                                       value, damage, match):
+        """build_model runs load_checkpoint's check, so it refuses to make
+        a model that a checkpoint of it could not be loaded from."""
+        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                          top_g=2, layers=1, hidden=8, random_filters=True)
+        path = str(tmp_path / "model.json")
+        save_checkpoint(damage(build_model(None, cfg)), path)
+        with pytest.raises(SchemaFormatError, match=match):
+            load_checkpoint(path)
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=match):
+            build_model(None, cfg)
+
+    @pytest.mark.parametrize("key, low", sorted(COUNTS.values()))
+    def test_build_model_names_the_key_of_a_size_below_its_least(self, key, low):
+        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                          top_g=2, layers=2, hidden=8, random_filters=True)
+        setattr(cfg, key, low - 1)
+        with pytest.raises(ConfigError, match=f"config key {key}"):
+            build_model(None, cfg)
+
     def test_fingerprint_mismatch(self, tmp_path):
         cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
                           top_g=2, layers=1, hidden=8, random_filters=True)
@@ -471,11 +519,15 @@ class TestCheckpoints:
         (_retensored(_head("b_h"), lambda a: a[:-1]), "7 hidden units"),
         (_retensored(_head("b_o"), lambda a: np.append(a, 0.0)), "head.b_o"),
         (_edited(lambda doc: doc["labels"].pop()), "head.W_o"),
-        (_edited(lambda doc: doc["layers"][0].update(p=-1)), "p=-1"),
-        (_edited(lambda doc: doc["layers"][0].update(p=1.5)), "p=1.5"),
-        (_edited(lambda doc: doc["layers"][0].update(hop="1")), "hop='1'"),
-        (_edited(lambda doc: doc["layers"][0].update(n_sub=4.0)), "n_sub=4.0"),
+        (_edited(lambda doc: doc.update(p=-1)), "p=-1"),
+        (_edited(lambda doc: doc.update(p=1.5)), "p=1.5"),
+        (_edited(lambda doc: doc.update(hop="1")), "hop='1'"),
+        (_edited(lambda doc: doc.update(n_sub=4.0)), "n_sub=4.0"),
+        *[(lambda text, name=name: _without(text, name), f"field: '{name}'")
+          for name in SIZES],
         (_edited(lambda doc: doc.update(dimension="8")), "dimension='8'"),
+        (_edited(lambda doc: doc["relation_weights"].pop("Implies")),
+         "relation_weights must weigh each of"),
         (_retensored(lambda doc: (doc["layers"][0], "filter_adjs"),
                      lambda a: a.reshape(2, 9)),
          r"layer 0 filter adjacencies \(2, 9\), expected \(2, 3, 3\)"),
@@ -499,18 +551,21 @@ class TestCheckpoints:
         (_retensored(lambda doc: (doc["layers"][0], "W"), np.diagonal),
          r"layer 0 W \(12,\), expected \(12, 12\)"),
         (_g_above_filters, "layer 0 g=3 exceeds its 2 filters"),
-        (_edited(lambda doc: doc.update(version=1)), "checkpoint version 1 != 2"),
+        (_edited(lambda doc: doc.update(version=1)), "checkpoint version 1 != 3"),
+        (_edited(_version_2), "checkpoint version 2 != 3"),
         *[(_retensored(_head("b_o"), lambda a, v=value: np.where(
               np.arange(a.size) == 1, v, a)),
            "tensor head.b_o contains non-finite values")
           for value in (np.nan, np.inf, -np.inf)],
     ], ids=["torn", "list", "no-layers", "no-head", "unknown-relation",
             "head-width", "short-b_h", "long-b_o", "short-labels", "negative-p",
-            "float-p", "string-hop", "float-n_sub", "string-dimension",
+            "float-p", "string-hop", "float-n_sub",
+            *[f"no-{name}" for name in SIZES], "string-dimension",
+            "no-implies-weight",
             "flat-filter-adjs", "bad-base64", "list-data", "short-data",
             "long-shape", "negative-shape", "string-shape", "float-shape",
             "float-list-tensor", "no-W", "diagonal-W", "g-above-filters",
-            "version-1", "nan-b_o", "inf-b_o",
+            "version-1", "version-2", "nan-b_o", "inf-b_o",
             "minus-inf-b_o"])
     def test_damaged_file_is_schema_format_error(self, tmp_path, damage, match):
         path = _small_checkpoint(tmp_path)

@@ -63,11 +63,10 @@ def test_layer_scores_match_kronecker_oracle(seed, n_nodes, density, hop, p,
     layer = KernelLayerParams(
         filter_feats=rng.normal(size=(n_filters, n_filt, features.shape[1])),
         filter_adjs=rng.normal(size=(n_filters, n_filt, n_filt)),
-        W=rng.normal(size=(q, q)),
-        p=p, g=int(rng.integers(1, n_filters + 1)), hop=hop, n_sub=n_sub,
-        n_filt=n_filt)
+        W=rng.normal(size=(q, q)))
+    g = int(rng.integers(1, n_filters + 1))
     out, cache = layer_forward(features, khop_subgraphs(adjacency, hop, n_sub),
-                               layer)
+                               layer, p, g)
     assert cache.scores.shape == (n_nodes, n_filters)
     for v in range(n_nodes):
         sub = khop_subgraph(adjacency, features, v, hop, n_sub)
@@ -79,7 +78,7 @@ def test_layer_scores_match_kronecker_oracle(seed, n_nodes, density, hop, p,
             # cancellation in the oracle does not demand more than float64 has
             scale = explicit_kernel_oracle(*map(np.abs, args), p)
             assert abs(cache.scores[v, k] - oracle) <= 1e-9 * scale + 1e-300
-        selected = topg_select(list(cache.scores[v]), layer.g)
+        selected = topg_select(list(cache.scores[v]), g)
         assert cache.selected[v].tolist() == selected
         np.testing.assert_array_equal(out[v], cache.scores[v, selected])
 
@@ -110,9 +109,9 @@ def test_dense_w_gradients_match_finite_differences(seed, p, n_nodes):
     # keep the finite difference off the top-g and ReLU kinks; a layer's
     # top-g gap is measured against its largest score, because deeper
     # layers score on a scale of 1e-3
-    for layer_cache, layer in zip(cache.layers, model.layers):
+    for layer_cache in cache.layers:
         ranked = -np.sort(-layer_cache.scores, axis=1)
-        gap = np.min(ranked[:, layer.g - 1] - ranked[:, layer.g])
+        gap = np.min(ranked[:, model.g - 1] - ranked[:, model.g])
         assume(gap > 1e-2 * np.max(np.abs(layer_cache.scores)))
     assume(np.min(np.abs(cache.pre_hidden)) > 1e-2)
     grads = backward(model, [gold], cache)
