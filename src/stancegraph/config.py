@@ -64,7 +64,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """The config a JSON object gives; each value must have its field's type."""
+        """The config a JSON object gives; each value must have its field's
+        type, and each key of _LEAST must be at least its least value."""
         known = {f.name: f.type for f in fields(cls)}
         unknown = set(data) - set(known)
         if unknown:
@@ -72,10 +73,15 @@ class RunConfig:
         for key, value in data.items():
             if not _has_type(value, _TYPES[key]):
                 raise ConfigError(f"config key {key}: {value!r} is not {known[key]}")
+            if key in _LEAST and value < _LEAST[key]:
+                raise ConfigError(f"config key {key}: {value!r} is below {_LEAST[key]}")
         return cls(**data)
 
 
 _TYPES = typing.get_type_hints(RunConfig)  # evaluated once, not per from_dict call
+# Least values of keys that no later check covers: P2 prompts hold at least
+# one predicate line, and numpy's generators take only non-negative seeds.
+_LEAST = {"p2_max_lines": 1, "seed": 0}
 
 
 def _has_type(value, hint) -> bool:

@@ -9,23 +9,24 @@ small subgraph filters for the kernel model.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
+import struct
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .embed import EmbeddingProvider
-from .errors import (EmptyCorpusError, InvalidFilterCountError, InvalidKError,
-                     SchemaFormatError, SingleClusterError, StanceGraphError,
-                     UnassignedPredicateError)
+from .errors import (DimensionMismatchError, EmptyCorpusError,
+                     InvalidFilterCountError, InvalidKError, SchemaFormatError,
+                     SingleClusterError, StanceGraphError, UnassignedPredicateError)
 from .fol import FolGraph, Relation
 from .gateway import Gateway, render_p2
 
-LIBRARY_VERSION = 2
+LIBRARY_VERSION = 3
 KMEANS_MAX_ITER = 300
 # Largest (rows, m, d) float64 difference block the distance code builds:
 # 2**20 elements, 8 MB. Memory stays bounded as the predicate pool grows.
@@ -393,134 +394,216 @@ def assign_to_cluster(embedding: np.ndarray, result: ClusteringResult) -> int:
 # ---------------------------------------------------------------------------
 # Persistence
 #
-# Libraries and checkpoints are JSON objects written with sort_keys, and
-# share one codec for their float arrays: each stacked array is one entry
-# {"shape": [...], "data": base64 of its little-endian float64 bytes in C
-# order}, decoded by one np.frombuffer; float lists parse several times slower.
+# Libraries and checkpoints share one binary layout, the idea behind .npy
+# (https://numpy.org/neps/nep-0001-npy-format.html) and safetensors
+# (https://github.com/huggingface/safetensors):
+#
+#   the 8-byte MAGIC of the artifact's kind
+#   the header's byte length, little-endian <Q
+#   the header: a sort_keys UTF-8 JSON object of the plain fields, "version",
+#     and "tensors", which gives each array as {"dtype", "shape", "offset"};
+#     space-padded to 8 bytes, so the payload starts 8-byte aligned
+#   the payload: each array's little-endian C-order bytes at its offset
+#
+# A tensor is one np.frombuffer over the bytes already read, with no text
+# step in between.
 
-def _encode(array: np.ndarray) -> dict:
-    data = array.astype("<f8", copy=False).tobytes()
-    return {"shape": list(array.shape),
-            "data": base64.b64encode(data).decode("ascii")}
+MAGIC = {"checkpoint": b"\x93SGMODEL", "library": b"\x93SGLIBRY"}
+_PREAMBLE = struct.Struct("<8sQ")
+_DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 
-def _decode(entry: object, name: str) -> np.ndarray:
-    """The writable float64 array of a tensor entry; SchemaFormatError
-    naming the tensor for a bad shape, bad base64, a byte length the shape
-    does not give, or a non-finite value."""
-    shape = entry.get("shape") if isinstance(entry, dict) else None
-    if not (isinstance(shape, list)
-            and all(type(n) is int and n >= 0 for n in shape)):
-        raise SchemaFormatError(f"tensor {name}: shape {shape!r} is not a list of counts")
+def write_artifact(path: str, kind: str, version: int, fields: dict,
+                   tensors: dict[str, np.ndarray]) -> None:
+    """Write `fields` and the float or int `tensors` as a `kind` artifact."""
+    entries, payload, offset = {}, [], 0
+    for name, array in tensors.items():
+        dtype = {"f": "<f8", "i": "<i8"}[array.dtype.kind]
+        payload.append(np.ascontiguousarray(array, dtype).tobytes())
+        entries[name] = {"dtype": dtype, "shape": list(array.shape), "offset": offset}
+        offset += len(payload[-1])
+    header = json.dumps({**fields, "version": version, "tensors": entries},
+                        ensure_ascii=False, sort_keys=True).encode("utf-8")
+    header += b" " * (-len(header) % 8)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(_PREAMBLE.pack(MAGIC[kind], len(header)) + header)
+        fh.writelines(payload)
+
+
+def read_artifact(data: bytes, kind: str, version: int
+                  ) -> tuple[dict, Callable[..., np.ndarray]]:
+    """The header of the `kind` artifact whose bytes are `data`, and a
+    function `tensor(name, dtype="<f8")` that decodes one of its arrays into
+    a writable copy. SchemaFormatError names what is wrong: another kind of
+    file, another version (the JSON files of earlier versions included), a
+    header that is cut short or is not a JSON object, or a tensor entry that
+    is malformed, misaligned, overlaps another or runs past the end; and,
+    from `tensor`, a missing tensor, another dtype or a non-finite value."""
+    magic = data[:8]
+    if magic != MAGIC[kind]:
+        raise _foreign(data, kind, version)
+    if len(data) < _PREAMBLE.size:
+        raise SchemaFormatError(f"{kind} file of {len(data)} bytes is shorter than "
+                                f"its {_PREAMBLE.size}-byte preamble")
+    size = _PREAMBLE.unpack_from(data)[1]
+    start = _PREAMBLE.size + size
+    if start > len(data):
+        raise SchemaFormatError(f"{kind} header of {size} bytes runs past the end "
+                                f"of the {len(data)}-byte file")
+    if size % 8:
+        raise SchemaFormatError(f"{kind} header length {size} is not a multiple of 8")
     try:
-        raw = base64.b64decode(entry.get("data"), validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise SchemaFormatError(f"tensor {name}: data is not base64 ({exc})") from exc
-    if len(raw) != 8 * math.prod(shape):
-        raise SchemaFormatError(f"tensor {name}: {len(raw)} bytes, shape {shape} "
-                                f"needs {8 * math.prod(shape)}")
-    array = np.frombuffer(raw, "<f8").astype(np.float64).reshape(shape)
-    if not np.isfinite(array).all():
-        raise SchemaFormatError(f"tensor {name} contains non-finite values")
-    return array
+        header = json.loads(data[_PREAMBLE.size:start])
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise SchemaFormatError(f"{kind} header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise SchemaFormatError(f"{kind} header is not a JSON object")
+    if header.get("version") != version:
+        raise SchemaFormatError(f"{kind} version {header.get('version')!r} != {version}",
+                                field="version")
+    spans = _spans(header.get("tensors"), len(data) - start)
+
+    def tensor(name: str, dtype: str = "<f8") -> np.ndarray:
+        if name not in spans:
+            raise SchemaFormatError(f"{kind} has no tensor {name}", field=name)
+        declared, shape, offset, _ = spans[name]
+        if declared != dtype:
+            raise SchemaFormatError(f"tensor {name}: dtype {declared}, expected {dtype}")
+        array = np.frombuffer(data, dtype, math.prod(shape), start + offset)
+        array = array.astype(_DTYPES[dtype]).reshape(shape)
+        if dtype == "<f8" and not np.isfinite(array).all():
+            raise SchemaFormatError(f"tensor {name} contains non-finite values")
+        return array
+
+    return header, tensor
+
+
+def _spans(entries: object, size: int) -> dict[str, tuple]:
+    """Each tensor entry's (dtype, shape, offset, end) in a payload of
+    `size` bytes; SchemaFormatError naming the tensor unless all of them
+    are well formed, 8-byte aligned, disjoint and inside the payload."""
+    if not isinstance(entries, dict):
+        raise SchemaFormatError("header has no tensors object", field="tensors")
+    spans = {}
+    for name, entry in entries.items():
+        try:
+            dtype, shape, offset = entry["dtype"], entry["shape"], entry["offset"]
+        except (TypeError, KeyError) as exc:
+            raise SchemaFormatError(f"tensor {name}: {entry!r} is not a "
+                                    "{dtype, shape, offset} entry") from exc
+        if dtype not in _DTYPES:
+            raise SchemaFormatError(f"tensor {name}: dtype {dtype!r} is not one of "
+                                    f"{sorted(_DTYPES)}")
+        if not (type(shape) is list and all(type(n) is int and n >= 0 for n in shape)):
+            raise SchemaFormatError(f"tensor {name}: shape {shape!r} is not a list of counts")
+        if not (type(offset) is int and offset >= 0 and offset % 8 == 0):
+            raise SchemaFormatError(f"tensor {name}: offset {offset!r} is not a "
+                                    "multiple of 8 (misaligned)")
+        end = offset + 8 * math.prod(shape)
+        if offset > size:
+            raise SchemaFormatError(f"tensor {name}: offset {offset} is past the end "
+                                    f"of the {size}-byte payload")
+        if end > size:
+            raise SchemaFormatError(f"tensor {name}: bytes {offset}..{end} run past the "
+                                    f"end of the {size}-byte payload (truncated)")
+        spans[name] = (dtype, shape, offset, end)
+    ordered = sorted(spans, key=lambda name: spans[name][2:])
+    for before, after in zip(ordered, ordered[1:]):
+        if spans[after][2] < spans[before][3]:
+            raise SchemaFormatError(f"tensors {before} and {after} overlap")
+    return spans
+
+
+def _foreign(data: bytes, kind: str, version: int) -> SchemaFormatError:
+    """The error for a file that does not open with `kind`'s magic."""
+    for other, magic in MAGIC.items():
+        if data[:8] == magic:
+            return SchemaFormatError(f"this file is a {other}, not a {kind}")
+    if data[:1] == b"{":  # earlier versions wrote one JSON object
+        try:
+            old = json.loads(data)
+        except ValueError:
+            old = None
+        if isinstance(old, dict) and "version" in old:
+            other = "checkpoint" if "layers" in old else "library"
+            if other != kind:
+                return SchemaFormatError(f"this file is a {other} (JSON, version "
+                                         f"{old['version']!r}), not a {kind}")
+            return SchemaFormatError(f"{kind} version {old['version']!r} != {version} "
+                                     "(a JSON file of an earlier layout)", field="version")
+    return SchemaFormatError(f"not a {kind} file: bad magic {data[:8]!r}, "
+                             f"expected {MAGIC[kind]!r}")
 
 
 def save_library(library: SchemaLibrary, path: str) -> None:
-    """Write the library; its centroids and summary embeddings are two
-    (K, d) tensor entries, each node's row i of them."""
-    nodes = library.graph.nodes
+    """Write the library. The nodes' centroids and summary embeddings are
+    two (K, d) tensors; node i is row i. Edges are an (E, 3) int tensor of
+    src, dst and an index into the header's relation list, and an (E,)
+    weight tensor. Node ids (the index), member counts and the assignments
+    (which the member lists give) are not stored."""
+    nodes, edges = library.graph.nodes, library.graph.edges
     shape = (len(nodes), library.dimension)
-    doc = {
-        "version": LIBRARY_VERSION,
+    relations = list(Relation)
+    fields = {
         "d": library.dimension,
         "seed": library.seed,
-        "centroids": _encode(np.reshape([n.centroid for n in nodes], shape)),
-        "summary_embeddings": _encode(
-            np.reshape([n.summary_embedding for n in nodes], shape)),
-        "nodes": [
-            {
-                "id": n.id,
-                "summary": n.summary,
-                "members": n.members,
-                "member_count": n.member_count,
-                "fallback": n.fallback,
-            }
-            for n in nodes
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "relation": e.relation.value,
-             "weight": e.weight}
-            for e in library.graph.edges
-        ],
-        "assignments": [int(a) for a in library.clustering.assignments],
+        "nodes": [{"summary": n.summary, "members": n.members, "fallback": n.fallback}
+                  for n in nodes],
+        "relations": [r.value for r in relations],
         "inertia": library.clustering.inertia,
         "providers": library.providers,
         "config_fingerprint": library.config_fingerprint,
     }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_artifact(path, "library", LIBRARY_VERSION, fields, {
+        "centroids": np.reshape([n.centroid for n in nodes], shape),
+        "summary_embeddings": np.reshape([n.summary_embedding for n in nodes], shape),
+        "edges": np.array([(e.src, e.dst, relations.index(e.relation)) for e in edges],
+                          dtype=np.int64).reshape(-1, 3),
+        "edge_weights": np.array([e.weight for e in edges], dtype=np.float64),
+    })
 
 
 def load_library(path: str, data: Optional[bytes] = None) -> SchemaLibrary:
     """The library saved at `path`; `data`, when given, is that file's
     bytes, already read. Node i's centroid and summary embedding are row i
-    of `clustering.centroids` and of one decoded (K, d) stack."""
+    of `clustering.centroids` and of one decoded (K, d) stack, and
+    `clustering.assignments` is rebuilt from the member lists."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    doc, tensor = read_artifact(data, "library", LIBRARY_VERSION)
     try:
-        if data is None:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        doc = json.loads(data.decode("utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise SchemaFormatError(f"invalid schema library JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaFormatError("schema library is not a JSON object")
-    version = doc.get("version")
-    if version != LIBRARY_VERSION:
-        raise SchemaFormatError(
-            f"library version {version} != supported {LIBRARY_VERSION}",
-            field="version")
-    for key in ("d", "seed", "nodes", "edges", "centroids", "summary_embeddings"):
-        if key not in doc:
-            raise SchemaFormatError("missing field", field=key)
-    d = doc["d"]
-    if not (type(d) is int and d >= 1):
-        raise SchemaFormatError(f"d={d!r} is not a positive int", field="d")
-    try:
+        d = doc["d"]
+        if not (type(d) is int and d >= 1):
+            raise SchemaFormatError(f"d={d!r} is not a positive int", field="d")
         k = len(doc["nodes"])
         stacks = {}
         for key in ("centroids", "summary_embeddings"):
-            stacks[key] = _decode(doc[key], key)
+            stacks[key] = tensor(key)
             if stacks[key].shape != (k, d):
                 raise SchemaFormatError(
                     f"tensor {key}: shape {list(stacks[key].shape)}, expected "
                     f"[{k}, {d}] for {k} nodes and d={d}", field=key)
         nodes = []
         for i, nd in enumerate(doc["nodes"]):
-            if nd["id"] != i:
-                raise SchemaFormatError(f"node {i} has id {nd['id']!r}", field="id")
+            if type(nd["members"]) is not list:
+                raise SchemaFormatError(f"node {i} members are not a list", field="members")
             nodes.append(SchemaNode(
                 id=i, summary=nd["summary"],
                 centroid=stacks["centroids"][i],
                 summary_embedding=stacks["summary_embeddings"][i],
-                members=list(nd["members"]), fallback=nd.get("fallback", False)))
-        edges = [_edge(i, e, k) for i, e in enumerate(doc["edges"])]
-        assignments = doc.get("assignments", [])
-        if not (isinstance(assignments, list) and set(map(type, assignments)) <= {int}
-                and (not assignments or min(assignments) >= 0 and max(assignments) < k)):
-            raise SchemaFormatError(f"assignments are not ints in [0, {k})",
-                                    field="assignments")
+                members=nd["members"], fallback=nd["fallback"]))
+        edges = _edges(tensor("edges", "<i8"), tensor("edge_weights"),
+                       doc["relations"], k)
+        assignments = _assignments(nodes)
     except KeyError as exc:
-        raise SchemaFormatError("missing node or edge field", field=str(exc)) from exc
-    except (TypeError, ValueError, AttributeError) as exc:  # wrong shape or value
+        raise SchemaFormatError("missing library field", field=str(exc)) from exc
+    except (TypeError, ValueError) as exc:  # wrong shape or value
         raise SchemaFormatError(f"malformed schema library: {exc}") from exc
     clustering = ClusteringResult(
-        k=k,
-        assignments=np.asarray(assignments, dtype=np.int64),
-        centroids=stacks["centroids"],
-        inertia=float(doc.get("inertia", 0.0)),
-        seed=doc["seed"])
+        k=k, assignments=assignments, centroids=stacks["centroids"],
+        inertia=float(doc.get("inertia", 0.0)), seed=doc["seed"])
     return SchemaLibrary(dimension=d, seed=doc["seed"],
                          graph=SchemaGraph(nodes=nodes, edges=edges),
                          clustering=clustering,
@@ -528,18 +611,43 @@ def load_library(path: str, data: Optional[bytes] = None) -> SchemaLibrary:
                          config_fingerprint=doc.get("config_fingerprint", ""))
 
 
-def _edge(i: int, e: dict, k: int) -> SchemaEdge:
-    """Edge record i; SchemaFormatError naming the field for an endpoint
-    that is not a node id in [0, k) or a weight that is not a finite number."""
-    for end in ("src", "dst"):
-        if not (type(e[end]) is int and 0 <= e[end] < k):
-            raise SchemaFormatError(f"edge {i} {end}={e[end]!r} is not a node id "
-                                    f"in [0, {k})", field=end)
-    weight = e["weight"]
-    if not (type(weight) in (int, float) and math.isfinite(weight)):
-        raise SchemaFormatError(f"edge {i} weight={weight!r} is not a finite number",
-                                field="weight")
-    return SchemaEdge(e["src"], e["dst"], Relation(e["relation"]), weight)
+def _edges(columns: np.ndarray, weights: np.ndarray, relations: list,
+           k: int) -> list[SchemaEdge]:
+    """The edges that (E, 3) columns of src, dst and an index into
+    `relations`, and (E,) weights give; SchemaFormatError naming the first
+    edge whose endpoint is not a node id in [0, k) or whose relation index
+    is out of range."""
+    if not (columns.ndim == 2 and columns.shape[1] == 3
+            and weights.shape == (len(columns),)):
+        raise SchemaFormatError(f"edges {list(columns.shape)} and edge_weights "
+                                f"{list(weights.shape)} are not [E, 3] and [E]",
+                                field="edges")
+    kinds = [Relation(r) for r in relations]
+    for column, name, bound, what in ((0, "src", k, "a node id"), (1, "dst", k, "a node id"),
+                                      (2, "relation", len(kinds), "a relation index")):
+        bad = np.flatnonzero((columns[:, column] < 0) | (columns[:, column] >= bound))
+        if bad.size:
+            i = int(bad[0])
+            raise SchemaFormatError(f"edge {i} {name}={columns[i, column]} is not {what} "
+                                    f"in [0, {bound})", field=name)
+    return [SchemaEdge(src, dst, kinds[rel], weight)
+            for (src, dst, rel), weight in zip(columns.tolist(), weights.tolist())]
+
+
+def _assignments(nodes: list[SchemaNode]) -> np.ndarray:
+    """Each pooled predicate's node id, in sorted predicate order (the
+    pool's order); SchemaFormatError for a member that is not a string or
+    that two nodes list."""
+    owner = {member: i for i, node in enumerate(nodes) for member in node.members}
+    if len(owner) != sum(len(node.members) for node in nodes):
+        counts = Counter(member for node in nodes for member in node.members)
+        twice = next(member for member, count in counts.items() if count > 1)
+        raise SchemaFormatError(f"predicate {twice!r} is listed in more than one node",
+                                field="members")
+    if not set(map(type, owner)) <= {str}:
+        raise SchemaFormatError("members are not all strings", field="members")
+    keys = sorted(owner)
+    return np.fromiter(map(owner.__getitem__, keys), np.int64, len(keys))
 
 
 def induce_library(corpus: list[FolGraph], provider: EmbeddingProvider,
@@ -550,9 +658,14 @@ def induce_library(corpus: list[FolGraph], provider: EmbeddingProvider,
                    config_fingerprint: str = "",
                    p2_max_lines: int = 50) -> SchemaLibrary:
     """End-to-end induction: pool → (select_k | fixed K) → kmeans →
-    abstract → schema graph."""
+    abstract → schema graph. DimensionMismatchError, before any P2 call,
+    when the corpus embeddings and the provider differ in d."""
     pool = collect_predicates(corpus)
     points = np.stack([vec for _, vec in pool])
+    if points.shape[1] != provider.dimension:
+        raise DimensionMismatchError(
+            f"the graph records' predicate embeddings have d={points.shape[1]}, but "
+            f"the {provider.name} embedding provider gives d={provider.dimension}")
     if k_fixed is not None:
         result = kmeans(points, min(k_fixed, len(pool)), seed)
     else:

@@ -25,8 +25,6 @@ sums over the batch, which match a per-graph loop to within rounding.
 from __future__ import annotations
 
 import copy
-import json
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -38,10 +36,10 @@ from .errors import (ConfigError, DimensionMismatchError,
                      FingerprintMismatchError, IndexOutOfRangeError,
                      InvalidGError, SchemaFormatError, ShapeMismatchError)
 from .fol import FolGraph, FolNode, Predicate, Relation
-from .induce import (SchemaLibrary, _decode, _encode, assign_to_cluster,
-                     extract_filters)
+from .induce import (SchemaLibrary, assign_to_cluster, extract_filters,
+                     read_artifact, write_artifact)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # The stacked parameter arrays of a layer and of the head, by attribute name.
 LAYER_TENSORS = ("filter_feats", "filter_adjs", "W")
 HEAD_TENSORS = ("W_h", "b_h", "W_o", "b_o")
@@ -510,14 +508,13 @@ def augment_graph(graph: FolGraph, library: SchemaLibrary) -> FolGraph:
 # ---------------------------------------------------------------------------
 # Checkpoints
 #
-# A checkpoint is one JSON object written with sort_keys. Its sizes (SIZES once
-# for the model), labels, relation weights and fingerprints are plain JSON;
-# each stacked parameter array (LAYER_TENSORS of each layer, HEAD_TENSORS) is
-# one tensor entry of the codec the schema library also uses (induce._encode).
+# A checkpoint is an artifact of the layout the schema library also uses
+# (induce.write_artifact). Its header holds the sizes (SIZES once for the
+# model), labels, relation weights, fingerprints, seed and layer count; its
+# tensors are the stacked arrays of Model.parameters(), by the same names.
 
 def save_checkpoint(model: Model, path: str) -> None:
-    doc = {
-        "version": CHECKPOINT_VERSION,
+    write_artifact(path, "checkpoint", CHECKPOINT_VERSION, {
         "dimension": model.dimension,
         **{name: getattr(model, name) for name in SIZES},
         "labels": model.labels,
@@ -525,29 +522,15 @@ def save_checkpoint(model: Model, path: str) -> None:
         "library_fingerprint": model.library_fingerprint,
         "config_fingerprint": model.config_fingerprint,
         "seed": model.seed,
-        "head": {name: _encode(getattr(model, name)) for name in HEAD_TENSORS},
-        "layers": [{name: _encode(getattr(layer, name)) for name in LAYER_TENSORS}
-                   for layer in model.layers],
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, sort_keys=True)
-        fh.write("\n")
+        "layers": len(model.layers),
+    }, model.parameters())
 
 
 def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
                     force: bool = False) -> Model:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise SchemaFormatError(f"invalid checkpoint JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaFormatError("checkpoint is not a JSON object")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise SchemaFormatError(
-            f"checkpoint version {doc.get('version')} != {CHECKPOINT_VERSION}",
-            field="version")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc, tensor = read_artifact(data, "checkpoint", CHECKPOINT_VERSION)
     if (library_fingerprint is not None and not force
             and doc.get("library_fingerprint")
             and doc["library_fingerprint"] != library_fingerprint):
@@ -555,11 +538,11 @@ def load_checkpoint(path: str, library_fingerprint: Optional[str] = None,
             f"checkpoint was trained against library {doc['library_fingerprint']}, "
             f"got {library_fingerprint} (use --force to override)")
     try:
-        layers = [KernelLayerParams(**{name: _decode(ld[name], f"layer{li}.{name}")
+        _check_counts({"layers": doc["layers"]}, SchemaFormatError)
+        layers = [KernelLayerParams(**{name: tensor(f"layer{li}.{name}")
                                        for name in LAYER_TENSORS})
-                  for li, ld in enumerate(doc["layers"])]
-        head = {name: _decode(doc["head"][name], f"head.{name}")
-                for name in HEAD_TENSORS}
+                  for li in range(doc["layers"])]
+        head = {name: tensor(f"head.{name}") for name in HEAD_TENSORS}
         model = Model(
             layers=layers, **head, **{name: doc[name] for name in SIZES},
             dimension=doc["dimension"], labels=list(doc["labels"]),

@@ -3,8 +3,12 @@ cache, loaded once per session in replay mode (no network)."""
 
 from __future__ import annotations
 
+import json
+import math
 import pathlib
+import struct
 
+import numpy as np
 import pytest
 
 from stancegraph.config import RunConfig
@@ -49,6 +53,40 @@ def torn_cache(path, mid_character):
     cut = lines[3].index("∧".encode("utf-8")) + 1 if mid_character else 40
     path.write_bytes(b"".join(lines[:3]) + lines[3][:cut])
     return str(path)
+
+
+def artifact_parts(path) -> tuple[bytes, dict, bytes]:
+    """The magic, the parsed header and the payload of a binary checkpoint
+    or library file."""
+    data = pathlib.Path(path).read_bytes()
+    size = struct.unpack_from("<Q", data, 8)[0]
+    return data[:8], json.loads(data[16:16 + size]), data[16 + size:]
+
+
+def _write_parts(path, magic: bytes, header, payload: bytes) -> None:
+    """Write an artifact file from its parts; the header (any JSON value)
+    is padded with spaces to 8 bytes."""
+    raw = json.dumps(header, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    raw += b" " * (-len(raw) % 8)
+    pathlib.Path(path).write_bytes(magic + struct.pack("<Q", len(raw)) + raw + payload)
+
+
+def rewrite_header(path, edit) -> None:
+    """Replace the artifact's header by `edit` of it; the payload is kept."""
+    magic, header, payload = artifact_parts(path)
+    _write_parts(path, magic, edit(header), payload)
+
+
+def retensor(path, name: str, edit) -> None:
+    """Replace tensor `name` by `edit` of its array: the new bytes go at the
+    end of the payload and the header entry points at them."""
+    magic, header, payload = artifact_parts(path)
+    entry = header["tensors"][name]
+    array = np.frombuffer(payload, entry["dtype"], math.prod(entry["shape"]),
+                          entry["offset"]).reshape(entry["shape"])
+    edited = np.ascontiguousarray(edit(array), entry["dtype"])
+    header["tensors"][name] = dict(entry, shape=list(edited.shape), offset=len(payload))
+    _write_parts(path, magic, header, payload + edited.tobytes())
 
 
 @pytest.fixture(scope="session")

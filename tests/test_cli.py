@@ -15,7 +15,7 @@ from stancegraph.config import RunConfig
 from stancegraph.induce import LIBRARY_VERSION
 from stancegraph.pipeline import file_fingerprint
 from stancegraph.synth import FIXTURE_DIMENSION, FIXTURE_PROVIDER
-from tests.conftest import DATA_DIR, torn_cache
+from tests.conftest import DATA_DIR, artifact_parts, rewrite_header, torn_cache
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestPipeline:
                     "text", "target", "label", "rationale", "llm_stance", "graph"}
 
     def test_induced_library(self, pipeline):
-        doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
+        doc = artifact_parts(pipeline["library"])[1]
         assert doc["version"] == LIBRARY_VERSION
         assert len(doc["nodes"]) == 8
 
@@ -223,9 +223,8 @@ class TestErrorPaths:
     def test_eval_fingerprint_mismatch_needs_force(self, pipeline, config_path,
                                                    tmp_path):
         other_library = tmp_path / "other-library.json"
-        doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
-        doc["seed"] = 999
-        other_library.write_text(json.dumps(doc, sort_keys=True))
+        shutil.copyfile(pipeline["library"], other_library)
+        rewrite_header(other_library, lambda doc: {**doc, "seed": 999})
         args = ["eval", "--config", config_path, pipeline["test_graphs"],
                 pipeline["checkpoint"], "--library", str(other_library)]
         result = CliRunner().invoke(main, args)
@@ -235,9 +234,8 @@ class TestErrorPaths:
 
     def test_predict_fingerprint_mismatch_needs_force(self, pipeline, tmp_path):
         other_library = tmp_path / "other-library.json"
-        doc = json.loads(open(pipeline["library"], encoding="utf-8").read())
-        doc["seed"] = 999
-        other_library.write_text(json.dumps(doc, sort_keys=True))
+        shutil.copyfile(pipeline["library"], other_library)
+        rewrite_header(other_library, lambda doc: {**doc, "seed": 999})
         with open(DATA_DIR / "train.csv", encoding="utf-8", newline="") as fh:
             row = next(csv.DictReader(fh))
         args = ["predict", *pipeline["common"], row["text"], row["target"],
@@ -280,8 +278,9 @@ class TestErrorPaths:
                                                      config_path, tmp_path,
                                                      command):
         checkpoint = tmp_path / "model.json"
-        text = open(pipeline["checkpoint"], encoding="utf-8").read()
-        checkpoint.write_text(text[: len(text) // 2])
+        with open(pipeline["checkpoint"], "rb") as fh:
+            data = fh.read()
+        checkpoint.write_bytes(data[: len(data) // 2])
         inputs = (["some text", "some target"] if command == "predict"
                   else [pipeline["test_graphs"]])
         flags = (pipeline["common"] if command == "predict"
@@ -290,7 +289,7 @@ class TestErrorPaths:
                                            *inputs, str(checkpoint)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit), result.exception
-        assert "invalid checkpoint JSON" in result.output
+        assert "past the end of the" in result.output
 
     def test_induce_reports_p2_fallbacks(self, pipeline, config_path,
                                          tmp_path):
@@ -299,7 +298,7 @@ class TestErrorPaths:
                        "--cache-dir", str(DATA_DIR), "--k", "5",
                        pipeline["all_graphs"], str(library)])
         assert result.exit_code == 0, result.output
-        nodes = json.loads(library.read_text(encoding="utf-8"))["nodes"]
+        nodes = artifact_parts(library)[1]["nodes"]
         fallbacks = sum(node["fallback"] for node in nodes)
         assert fallbacks > 0
         match = re.search(r"P2 fallbacks: (\d+) of 5 ", result.stderr)
@@ -336,9 +335,13 @@ class TestErrorPaths:
         ("generate-fol", "dimension", 0),
         ("train", "hidden", 0),
         ("train", "walk_length", -1),
+        ("induce", "p2_max_lines", 0),
+        ("induce", "p2_max_lines", -1),
+        ("induce", "seed", -1),
     ], ids=["string-n_sub", "string-relation-weight", "missing-relation-weights",
             "unknown-relation", "string-learning_rate", "batch_size-0", "n_filt-0",
-            "dimension-0", "hidden-0", "walk_length-minus-1"])
+            "dimension-0", "hidden-0", "walk_length-minus-1", "p2_max_lines-0",
+            "p2_max_lines-minus-1", "seed-minus-1"])
     def test_misconfigured_run_names_the_key(self, pipeline, config_path,
                                              tmp_path, command, key, value):
         """A config value of the wrong type, or a size that makes no valid
@@ -351,6 +354,8 @@ class TestErrorPaths:
         if command == "train":
             args = [pipeline["train_graphs"], pipeline["dev_graphs"],
                     pipeline["library"], str(out)]
+        elif command == "induce":
+            args = [*pipeline["common"][2:], "--k", "8", pipeline["all_graphs"], str(out)]
         else:
             args = [*pipeline["common"][2:], str(DATA_DIR / "dev.csv"), str(out)]
         result = CliRunner().invoke(main, [command, "--config", str(config), *args])
@@ -358,6 +363,23 @@ class TestErrorPaths:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"config key {key}" in result.output
         assert not out.exists()
+
+    def test_induce_checks_the_embedding_size_before_p2(self, pipeline,
+                                                        monkeypatch, tmp_path):
+        """Graph records embedded at the fixture's d, induced under the
+        default config's d, stop before any P2 call with both sizes named."""
+        calls = []
+        monkeypatch.setattr(cli.Gateway, "complete",
+                            lambda self, req: calls.append(req))
+        out = tmp_path / "library.json"
+        result = CliRunner().invoke(main, [
+            "induce", *pipeline["common"][2:], "--k", "8",
+            pipeline["all_graphs"], str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert (f"predicate embeddings have d={FIXTURE_DIMENSION}, but the hash "
+                f"embedding provider gives d={RunConfig().dimension}") in result.output
+        assert calls == [] and not out.exists()
 
     def test_inspect_missing_file(self):
         result = CliRunner().invoke(main, ["inspect", "/no/such/library.json"])

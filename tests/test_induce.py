@@ -1,8 +1,8 @@
 """Schema induction: pooling, clustering, summarization, filter extraction."""
 
-import base64
 import itertools
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from stancegraph.errors import (EmptyCorpusError, HttpError,
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph import induce
 from stancegraph.gateway import Gateway
-from stancegraph.induce import (LIBRARY_VERSION, ClusteringResult, SchemaEdge,
+from stancegraph.induce import (LIBRARY_VERSION, MAGIC, ClusteringResult, SchemaEdge,
                                 SchemaGraph,
                                 SchemaNode, abstract_clusters,
                                 assign_to_cluster, build_schema_graph,
@@ -22,7 +22,9 @@ from stancegraph.induce import (LIBRARY_VERSION, ClusteringResult, SchemaEdge,
                                 induce_library, kmeans, load_library,
                                 save_library, select_k, silhouette)
 from stancegraph.synth import FIXTURE_INDUCE_SEED
-from tests.conftest import replay_gateway
+from stancegraph.kernel import build_model, load_checkpoint, save_checkpoint
+from tests.conftest import (DATA_DIR, artifact_parts, base_config, replay_gateway,
+                            retensor, rewrite_header)
 
 
 def _node(name, *args, emb=None):
@@ -324,31 +326,43 @@ class TestAssignToCluster:
 # ---------------------------------------------------------------------------
 # Persistence and the session library
 
-def _tensor(entry):
-    """The array a library tensor entry encodes."""
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, "<f8").reshape(entry["shape"])
+def _edited(edit):
+    """The damage that replaces the library's header by `edit` of it."""
+    return lambda path: rewrite_header(path, edit)
 
 
-def _retensored(key, edit):
-    """The damage that replaces the tensor entry `key` by the encoding of
-    `edit` applied to its array."""
-    def damage(doc):
-        array = np.ascontiguousarray(edit(_tensor(doc[key])), "<f8")
-        return {**doc, key: {"shape": list(array.shape),
-                             "data": base64.b64encode(array.tobytes()).decode("ascii")}}
-    return damage
+def _entry(name, **changes):
+    """The damage that changes fields of tensor `name`'s header entry."""
+    return _edited(lambda doc: {**doc, "tensors": {
+        **doc["tensors"], name: dict(doc["tensors"][name], **changes)}})
 
 
-def _edge_edited(**fields):
-    return lambda doc: {**doc, "edges": [dict(doc["edges"][0], **fields),
-                                         *doc["edges"][1:]]}
+def _retensored(name, edit):
+    """The damage that replaces tensor `name` by `edit` applied to its array."""
+    return lambda path: retensor(path, name, edit)
+
+
+def _edge_edited(column, value):
+    def edit(edges):
+        edges = edges.copy()
+        edges[0, column] = value
+        return edges
+    return _retensored("edges", edit)
+
+
+def _nodes_edited(edit):
+    return _edited(lambda doc: {**doc, "nodes": edit(doc["nodes"])})
 
 
 def _with_nan(a):
     a = a.copy()
     a[2, 5] = np.nan
     return a
+
+
+def _saved(library, path):
+    save_library(library, str(path))
+    return path
 
 
 class TestLibraryPersistence:
@@ -358,14 +372,20 @@ class TestLibraryPersistence:
         loaded = load_library(path)
         assert loaded.k == library.k
         assert loaded.dimension == library.dimension
+        assert loaded.seed == library.seed
         assert [n.summary for n in loaded.graph.nodes] == \
             [n.summary for n in library.graph.nodes]
         assert [n.members for n in loaded.graph.nodes] == \
             [n.members for n in library.graph.nodes]
+        assert [n.fallback for n in loaded.graph.nodes] == \
+            [n.fallback for n in library.graph.nodes]
+        assert [n.id for n in loaded.graph.nodes] == list(range(library.k))
         np.testing.assert_array_equal(loaded.clustering.centroids,
                                       library.clustering.centroids)
-        np.testing.assert_array_equal(loaded.clustering.assignments,
-                                      library.clustering.assignments)
+        assert np.array_equal(loaded.clustering.assignments,
+                              library.clustering.assignments)
+        assert loaded.clustering.assignments.dtype == np.int64
+        assert loaded.clustering.inertia == library.clustering.inertia
         summary_embeddings = np.stack([n.summary_embedding for n in loaded.graph.nodes])
         assert np.array_equal(summary_embeddings, np.stack(
             [n.summary_embedding for n in library.graph.nodes]))
@@ -373,82 +393,132 @@ class TestLibraryPersistence:
                       *(n.centroid for n in loaded.graph.nodes)):
             assert array.dtype == np.float64
             assert array.flags.writeable
-        assert [(e.src, e.dst, e.relation, e.weight) for e in loaded.graph.edges] == \
-            [(e.src, e.dst, e.relation, e.weight) for e in library.graph.edges]
+        assert loaded.graph.edges == library.graph.edges
+        assert loaded.providers == library.providers
+        assert loaded.config_fingerprint == library.config_fingerprint
 
     def test_float_arrays_are_tensors_not_float_lists(self, library, tmp_path):
-        path = tmp_path / "library.json"
-        save_library(library, str(path))
-        text = path.read_text()
-        assert '"centroid": [' not in text
-        assert '"summary_embedding": [' not in text
-        doc = json.loads(text)
-        assert doc["version"] == LIBRARY_VERSION == 2
-        for key in ("centroids", "summary_embeddings"):
-            assert set(doc[key]) == {"shape", "data"}
-            assert doc[key]["shape"] == [library.k, library.dimension]
-        assert all("centroid" not in nd and "summary_embedding" not in nd
-                   for nd in doc["nodes"])
+        """Magic, header length, a sort_keys JSON header padded to 8 bytes,
+        then the centroids, summary embeddings and edge columns."""
+        path = _saved(library, tmp_path / "library.json")
+        data = path.read_bytes()
+        magic, doc, payload = artifact_parts(path)
+        assert magic == MAGIC["library"] != MAGIC["checkpoint"]
+        size = struct.unpack_from("<Q", data, 8)[0]
+        assert size % 8 == 0 and len(data) == 16 + size + len(payload)
+        assert data[16:16 + size].rstrip(b" ") == json.dumps(
+            doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        assert doc["version"] == LIBRARY_VERSION == 3
+        k, d, e = library.k, library.dimension, len(library.graph.edges)
+        assert doc["tensors"] == {
+            "centroids": {"dtype": "<f8", "shape": [k, d], "offset": 0},
+            "summary_embeddings": {"dtype": "<f8", "shape": [k, d], "offset": 8 * k * d},
+            "edges": {"dtype": "<i8", "shape": [e, 3], "offset": 16 * k * d},
+            "edge_weights": {"dtype": "<f8", "shape": [e],
+                             "offset": 16 * k * d + 24 * e}}
+        assert len(payload) == 16 * k * d + 32 * e
+        assert doc["relations"] == [r.value for r in Relation]
+        assert [set(nd) for nd in doc["nodes"]] == [{"summary", "members", "fallback"}] * k
+        assert "assignments" not in doc
 
     def test_truncated_file(self, library, tmp_path):
-        path = tmp_path / "library.json"
-        save_library(library, str(path))
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        with pytest.raises(SchemaFormatError):
-            load_library(str(path))
+        path = _saved(library, tmp_path / "library.json")
+        for cut in (len(path.read_bytes()) // 2, len(path.read_bytes()) - 8):
+            path.write_bytes(_saved(library, tmp_path / "whole.json").read_bytes()[:cut])
+            with pytest.raises(SchemaFormatError, match="past the end"):
+                load_library(str(path))
 
     def test_version_mismatch_names_versions(self, library, tmp_path):
-        path = tmp_path / "library.json"
-        save_library(library, str(path))
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaFormatError, match="99"):
+        path = _saved(library, tmp_path / "library.json")
+        _edited(lambda doc: {**doc, "version": 99})(path)
+        with pytest.raises(SchemaFormatError, match="library version 99 != 3"):
             load_library(str(path))
 
+    def test_json_files_of_earlier_versions_are_named(self):
+        with pytest.raises(SchemaFormatError, match=r"library version 2 != 3 \(a JSON "
+                                                    "file of an earlier layout"):
+            load_library(str(DATA_DIR / "library_v2.json"))
+        with pytest.raises(SchemaFormatError, match=r"this file is a checkpoint \(JSON, "
+                                                    r"version 3\), not a library"):
+            load_library(str(DATA_DIR / "checkpoint_v3.json"))
+        with pytest.raises(SchemaFormatError, match=r"this file is a library \(JSON, "
+                                                    r"version 2\), not a checkpoint"):
+            load_checkpoint(str(DATA_DIR / "library_v2.json"))
+
+    def test_checkpoint_and_library_are_told_apart(self, library, tmp_path):
+        library_path = str(_saved(library, tmp_path / "library.json"))
+        checkpoint_path = str(tmp_path / "model.json")
+        save_checkpoint(build_model(library, base_config(n_filters=2)), checkpoint_path)
+        with pytest.raises(SchemaFormatError,
+                           match="this file is a checkpoint, not a library"):
+            load_library(checkpoint_path)
+        with pytest.raises(SchemaFormatError,
+                           match="this file is a library, not a checkpoint"):
+            load_checkpoint(library_path)
+
     @pytest.mark.parametrize("damage, match", [
-        (lambda doc: [doc], "not a JSON object"),
-        (lambda doc: {**doc, "edges": [{"dst": 0, "relation": "Implies",
-                                        "weight": 1.0}]}, "src"),
-        (lambda doc: {**doc, "edges": [{"src": 0, "dst": 1,
-                                        "relation": "Causes",
-                                        "weight": 1.0}]}, "Causes"),
-        (lambda doc: {**doc, "nodes": 5}, "malformed"),
+        (_edited(lambda doc: [doc]), "library header is not a JSON object"),
+        (_retensored("edges", lambda a: a[:, 1:]),
+         r"edges \[\d+, 2\] and edge_weights \[\d+\] are not \[E, 3\] and \[E\]"),
+        (_edited(lambda doc: {**doc, "relations": ["Causes", *doc["relations"][1:]]}),
+         "Causes"),
+        (_edited(lambda doc: {**doc, "nodes": 5}), "malformed"),
         (_retensored("centroids", lambda a: a[:-1]),
          r"tensor centroids: shape \[7, 48\], expected \[8, 48\]"),
         (_retensored("centroids", lambda a: np.hstack([a, a[:, :1]])),
          r"tensor centroids: shape \[8, 49\], expected \[8, 48\]"),
-        (_edge_edited(src=99), r"edge 0 src=99 is not a node id in \[0, 8\)"),
-        (_edge_edited(dst=-1), r"edge 0 dst=-1 is not a node id in \[0, 8\)"),
-        (lambda doc: {**doc, "nodes": [dict(nd, id=nd["id"] + 1)
-                                       for nd in doc["nodes"]]},
-         r"node 0 has id 1 \(field: id\)"),
-        (_edge_edited(weight="0.5"), "edge 0 weight='0.5' is not a finite number"),
-        (lambda doc: {**doc, "d": "48"}, r"d='48' is not a positive int \(field: d\)"),
-        (lambda doc: {**doc, "assignments": "abc"},
-         r"assignments are not ints in \[0, 8\)"),
-        (lambda doc: {**doc, "assignments": [8, *doc["assignments"][1:]]},
-         r"assignments are not ints in \[0, 8\)"),
-        (lambda doc: {**doc, "d": 49},
+        (_edge_edited(0, 99), r"edge 0 src=99 is not a node id in \[0, 8\)"),
+        (_edge_edited(1, -1), r"edge 0 dst=-1 is not a node id in \[0, 8\)"),
+        (_entry("edge_weights", dtype="<U3"),
+         "tensor edge_weights: dtype '<U3' is not one of"),
+        (_edited(lambda doc: {**doc, "d": "48"}),
+         r"d='48' is not a positive int \(field: d\)"),
+        (_edited(lambda doc: {**doc, "d": 49}),
          r"tensor centroids: shape \[8, 48\], expected \[8, 49\]"),
         (_retensored("centroids", _with_nan),
          "tensor centroids contains non-finite values"),
-        (lambda doc: {**doc, "version": 1}, "library version 1 != supported 2"),
-        (lambda doc: {**doc, "centroids": dict(doc["centroids"], data="not base64!")},
-         "tensor centroids: data is not base64"),
-        (lambda doc: {**doc, "summary_embeddings": dict(doc["summary_embeddings"],
-                                                        data="AAAA")},
-         r"tensor summary_embeddings: 3 bytes, shape \[8, 48\] needs 3072"),
+        (_edited(lambda doc: {**doc, "version": 1}), "library version 1 != 3"),
+        (_edited(lambda doc: {**doc, "tensors": {
+            **doc["tensors"], "centroids": {"shape": [8, 48], "data": "not base64!"}}}),
+         r"tensor centroids: .* is not a \{dtype, shape, offset\} entry"),
+        (lambda path: path.write_bytes(path.read_bytes()[:-8]),
+         r"tensor edge_weights: bytes \d+..\d+ run past the end of the \d+-byte "
+         r"payload \(truncated\)"),
+        (_edge_edited(2, 4), r"edge 0 relation=4 is not a relation index in \[0, 4\)"),
+        (_entry("edges", dtype="<f8"),
+         "tensor edges: dtype <f8, expected <i8"),
+        (_nodes_edited(lambda nodes: [dict(nodes[0], members=nodes[0]["members"]
+                                           + nodes[1]["members"][:1]), *nodes[1:]]),
+         r"predicate .* is listed in more than one node \(field: members\)"),
+        (_nodes_edited(lambda nodes: [dict(nodes[0], members=[1, 2]), *nodes[1:]]),
+         r"members are not all strings \(field: members\)"),
+        (_nodes_edited(lambda nodes: [dict(nodes[0], members="A(x)"), *nodes[1:]]),
+         r"node 0 members are not a list \(field: members\)"),
+        (_nodes_edited(lambda nodes: [{"summary": "s"}, *nodes[1:]]),
+         "field: 'members'"),
+        (_entry("summary_embeddings", shape=[0]),
+         r"tensor summary_embeddings: shape \[0\], expected \[8, 48\]"),
+        (_edited(lambda doc: {k: v for k, v in doc.items() if k != "tensors"}),
+         "header has no tensors object"),
+        (_edited(lambda doc: {**doc, "tensors": {
+            k: v for k, v in doc["tensors"].items() if k != "edges"}}),
+         "library has no tensor edges"),
+        (lambda path: path.write_bytes(b"\x89PNG\r\n\x1a\n" + path.read_bytes()[8:]),
+         "not a library file: bad magic"),
+        (lambda path: path.write_bytes(path.read_bytes()[:15]),
+         "library file of 15 bytes is shorter than its 16-byte preamble"),
     ], ids=["list", "edge-without-src", "unknown-relation", "nodes-not-a-list",
             "short-centroids", "wide-centroids", "edge-src-99", "edge-dst-minus-1",
-            "node-ids-not-in-order", "string-weight", "string-d",
-            "string-assignments", "assignment-out-of-range", "d-disagrees",
-            "nan-centroid", "version-1", "bad-base64", "short-data"])
+            "string-weight", "string-d", "d-disagrees",
+            "nan-centroid", "version-1", "bad-base64", "short-data",
+            "relation-index-out-of-range", "float-edges", "member-in-two-nodes",
+            "members-not-strings", "members-not-a-list", "node-without-members",
+            "flat-summary-embeddings", "no-tensors", "no-edges", "bad-magic",
+            "short-file"])
     def test_damaged_file_is_schema_format_error(self, library, tmp_path,
                                                  damage, match):
-        path = tmp_path / "library.json"
-        save_library(library, str(path))
-        path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+        path = _saved(library, tmp_path / "library.json")
+        damage(path)
         with pytest.raises(SchemaFormatError, match=match):
             load_library(str(path))
 

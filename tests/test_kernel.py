@@ -1,7 +1,7 @@
 """Random-walk kernel engine, model forward/backward, augmentation."""
 
-import base64
 import json
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -12,13 +12,16 @@ from stancegraph.errors import (ConfigError, DimensionMismatchError, EmptySetErr
                                 FingerprintMismatchError, InvalidGError,
                                 SchemaFormatError, ShapeMismatchError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
-from stancegraph.kernel import (COUNTS, LAYER_TENSORS, SIZES, KernelLayerParams,
+from stancegraph.induce import MAGIC
+from stancegraph.kernel import (CHECKPOINT_VERSION, COUNTS, LAYER_TENSORS, SIZES,
+                                KernelLayerParams,
                                 PaddedSubgraph, augment_graph, backward,
                                 build_model, cross_entropy, forward,
                                 graph_adjacency, khop_subgraph, khop_subgraphs,
                                 layer_forward, load_checkpoint, readout,
                                 save_checkpoint, softmax)
-from tests.conftest import base_config
+from tests.conftest import (DATA_DIR, artifact_parts, base_config, retensor,
+                            rewrite_header)
 from tests.oracle import explicit_kernel_oracle, rw_kernel, topg_select
 
 
@@ -373,48 +376,43 @@ class TestModelStacks:
 
 
 def _edited(edit):
-    """The damage that applies `edit` to the checkpoint's JSON document."""
-    def damage(text):
-        doc = json.loads(text)
-        edit(doc)
-        return json.dumps(doc)
-    return damage
-
-
-def _tensor(entry):
-    """The array a checkpoint tensor entry encodes."""
-    raw = base64.b64decode(entry["data"])
-    return np.frombuffer(raw, "<f8").reshape(entry["shape"])
-
-
-def _retensored(where, edit):
-    """The damage that replaces the tensor entry `where(doc)` names (a
-    container and a key) by the encoding of `edit` applied to its array."""
+    """The damage that applies `edit` to the checkpoint's header in place."""
     def apply(doc):
-        container, key = where(doc)
-        array = np.ascontiguousarray(edit(_tensor(container[key])), "<f8")
-        container[key] = {"shape": list(array.shape),
-                          "data": base64.b64encode(array.tobytes()).decode("ascii")}
-    return _edited(apply)
+        edit(doc)
+        return doc
+    return lambda path: rewrite_header(path, apply)
 
 
-def _head(name):
-    return lambda doc: (doc["head"], name)
+def _entry(name, **changes):
+    """The damage that changes fields of tensor `name`'s header entry."""
+    return _edited(lambda doc: doc["tensors"][name].update(changes))
 
 
-def _g_above_filters(text):
+def _retensored(name, edit):
+    """The damage that replaces tensor `name` by `edit` applied to its array."""
+    return lambda path: retensor(path, name, edit)
+
+
+def _raw(edit):
+    """The damage that rewrites the file's bytes by `edit`."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
+
+
+def _header_size(data):
+    return struct.unpack_from("<Q", data, 8)[0]
+
+
+def _without_tensors(prefix):
+    return _edited(lambda doc: doc.update(tensors={
+        name: entry for name, entry in doc["tensors"].items()
+        if not name.startswith(prefix)}))
+
+
+def _g_above_filters(path):
     """Layer 0 keeping g=3 of its 2 filters, with the head widened to match,
     so that only g disagrees with the rest of the file."""
-    widened = _retensored(_head("W_h"), lambda a: np.hstack([a, a[:, -1:]]))
-    return widened(_edited(lambda doc: doc.update(g=3))(text))
-
-
-def _version_2(doc):
-    """The checkpoint as version 2 wrote it: its sizes in every layer entry."""
-    sizes = {name: doc.pop(name) for name in SIZES}
-    for layer in doc["layers"]:
-        layer.update(sizes)
-    doc["version"] = 2
+    _edited(lambda doc: doc.update(g=3))(path)
+    _retensored("head.W_h", lambda a: np.hstack([a, a[:, -1:]]))(path)
 
 
 def _small_checkpoint(tmp_path, layers=1):
@@ -451,20 +449,39 @@ class TestCheckpoints:
         for name, value in loaded.parameters().items():
             assert value.flags.writeable, name
         assert loaded.labels == model.labels
+        assert loaded.relation_weights == model.relation_weights
+        assert [getattr(loaded, name) for name in (*SIZES, "dimension", "seed")] == \
+            [getattr(model, name) for name in (*SIZES, "dimension", "seed")]
 
     def test_tensors_are_encoded_not_float_lists(self, tmp_path):
-        doc = json.loads(_small_checkpoint(tmp_path, layers=2).read_text())
+        """Magic, header length, a sort_keys JSON header padded to 8 bytes,
+        then the parameters' little-endian bytes, back to back in order."""
+        path = _small_checkpoint(tmp_path, layers=2)
+        data = path.read_bytes()
+        magic, doc, payload = artifact_parts(path)
+        assert magic == MAGIC["checkpoint"] != MAGIC["library"]
+        size = _header_size(data)
+        assert size % 8 == 0 and len(data) == 16 + size + len(payload)
+        assert data[16:16 + size].rstrip(b" ") == json.dumps(
+            doc, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        assert doc["version"] == CHECKPOINT_VERSION == 4
         assert _float_lists(doc) == []
-        entries = [doc["head"][name] for name in ("W_h", "b_h", "W_o", "b_o")] + [
-            layer[name] for layer in doc["layers"]
-            for name in ("filter_feats", "filter_adjs", "W")]
-        assert len(entries) == 10
-        assert all(set(entry) == {"shape", "data"} for entry in entries)
+        model = load_checkpoint(str(path))
+        offset = 0
+        for name, array in model.parameters().items():
+            assert doc["tensors"][name] == {"dtype": "<f8", "shape": list(array.shape),
+                                            "offset": offset}
+            assert payload[offset:offset + array.nbytes] == array.astype("<f8").tobytes()
+            offset += array.nbytes
+        assert offset == len(payload) and len(doc["tensors"]) == 10
 
     def test_layers_hold_only_their_tensors(self, tmp_path):
         assert tuple(f.name for f in fields(KernelLayerParams)) == LAYER_TENSORS
-        doc = json.loads(_small_checkpoint(tmp_path, layers=2).read_text())
-        assert [set(layer) for layer in doc["layers"]] == [set(LAYER_TENSORS)] * 2
+        doc = artifact_parts(_small_checkpoint(tmp_path, layers=2))[1]
+        assert doc["layers"] == 2
+        assert set(doc["tensors"]) == {f"layer{li}.{name}" for li in range(2)
+                                       for name in LAYER_TENSORS} | {
+            f"head.{name}" for name in ("W_h", "b_h", "W_o", "b_o")}
         assert {name: doc[name] for name in SIZES} == dict(
             p=2, g=2, hop=1, n_sub=4, n_filt=3)
 
@@ -508,55 +525,91 @@ class TestCheckpoints:
         forced = load_checkpoint(path, library_fingerprint="zzz", force=True)
         assert forced.labels == model.labels
 
+    def test_fingerprint_is_checked_before_any_tensor(self, tmp_path):
+        cfg = base_config(dimension=8, n_filters=2, n_sub=4, n_filt=3,
+                          top_g=2, layers=1, hidden=8, random_filters=True)
+        path = tmp_path / "model.json"
+        save_checkpoint(build_model(None, cfg, library_fingerprint="abc123"), str(path))
+        _retensored("head.b_o", lambda a: np.full_like(a, np.nan))(path)
+        with pytest.raises(FingerprintMismatchError):
+            load_checkpoint(str(path), library_fingerprint="zzz")
+
     @pytest.mark.parametrize("damage, match", [
-        (lambda text: text[: len(text) // 2], "invalid checkpoint JSON"),
-        (lambda text: "[]", "not a JSON object"),
-        (lambda text: _without(text, "layers"), "layers"),
-        (lambda text: _without(text, "head"), "head"),
-        (lambda text: text.replace('"Implies"', '"Causes"'), "Causes"),
-        (_retensored(_head("W_h"), lambda a: a[:, :-1]),
+        (_raw(lambda data: data[: len(data) // 2]), "past the end of the"),
+        (lambda path: rewrite_header(path, lambda doc: []),
+         "checkpoint header is not a JSON object"),
+        (_edited(lambda doc: doc.pop("layers")), "field: 'layers'"),
+        (_without_tensors("head."), "checkpoint has no tensor head.W_h"),
+        (_edited(lambda doc: doc["relation_weights"].update(
+            Causes=doc["relation_weights"].pop("Implies"))), "Causes"),
+        (_retensored("head.W_h", lambda a: a[:, :-1]),
          r"head\.W_h \(8, 9\), expected \(8, 10\)"),
-        (_retensored(_head("b_h"), lambda a: a[:-1]), "7 hidden units"),
-        (_retensored(_head("b_o"), lambda a: np.append(a, 0.0)), "head.b_o"),
+        (_retensored("head.b_h", lambda a: a[:-1]), "7 hidden units"),
+        (_retensored("head.b_o", lambda a: np.append(a, 0.0)), "head.b_o"),
         (_edited(lambda doc: doc["labels"].pop()), "head.W_o"),
         (_edited(lambda doc: doc.update(p=-1)), "p=-1"),
         (_edited(lambda doc: doc.update(p=1.5)), "p=1.5"),
         (_edited(lambda doc: doc.update(hop="1")), "hop='1'"),
         (_edited(lambda doc: doc.update(n_sub=4.0)), "n_sub=4.0"),
-        *[(lambda text, name=name: _without(text, name), f"field: '{name}'")
+        *[(_edited(lambda doc, name=name: doc.pop(name)), f"field: '{name}'")
           for name in SIZES],
         (_edited(lambda doc: doc.update(dimension="8")), "dimension='8'"),
         (_edited(lambda doc: doc["relation_weights"].pop("Implies")),
          "relation_weights must weigh each of"),
-        (_retensored(lambda doc: (doc["layers"][0], "filter_adjs"),
-                     lambda a: a.reshape(2, 9)),
+        (_retensored("layer0.filter_adjs", lambda a: a.reshape(2, 9)),
          r"layer 0 filter adjacencies \(2, 9\), expected \(2, 3, 3\)"),
-        (_edited(lambda doc: doc["head"]["W_o"].update(data="not base64!")),
-         "tensor head.W_o: data is not base64"),
-        (_edited(lambda doc: doc["head"]["W_o"].update(data=[0.5, 0.25])),
-         "tensor head.W_o: data is not base64"),
-        (_edited(lambda doc: doc["head"]["W_o"].update(data="AAAA")),
-         r"tensor head.W_o: 3 bytes, shape \[3, 8\] needs 192"),
-        (_edited(lambda doc: doc["head"]["W_o"]["shape"].append(2)),
-         r"tensor head.W_o: 192 bytes, shape \[3, 8, 2\] needs 384"),
-        (_edited(lambda doc: doc["head"]["W_o"].update(shape=[-3, -8])),
+        (_edited(lambda doc: doc["tensors"].update(
+            {"head.W_o": {"shape": [3, 8], "data": "not base64!"}})),
+         r"tensor head.W_o: .* is not a \{dtype, shape, offset\} entry"),
+        (_entry("head.W_o", offset=[0.5, 0.25]),
+         r"tensor head.W_o: offset \[0.5, 0.25\] is not a multiple of 8"),
+        (_raw(lambda data: data[:-8]),
+         r"tensor head.b_o: bytes \d+..\d+ run past the end of the \d+-byte "
+         r"payload \(truncated\)"),
+        (_edited(lambda doc: doc["tensors"]["head.W_o"]["shape"].append(2)),
+         r"tensor head.W_o: bytes \d+..\d+ run past the end"),
+        (_entry("head.W_o", shape=[-3, -8]),
          r"tensor head.W_o: shape \[-3, -8\] is not a list of counts"),
-        (_edited(lambda doc: doc["head"]["W_o"].update(shape="3x8")),
+        (_entry("head.W_o", shape="3x8"),
          "tensor head.W_o: shape '3x8' is not a list of counts"),
-        (_edited(lambda doc: doc["head"]["W_o"].update(shape=[3.0, 8])),
+        (_entry("head.W_o", shape=[3.0, 8]),
          "tensor head.W_o: shape .* is not a list of counts"),
-        (_edited(lambda doc: doc["head"].update(W_o=[[0.5] * 8] * 3)),
-         "tensor head.W_o: shape None is not a list of counts"),
-        (_edited(lambda doc: doc["layers"][0].pop("W")), "'W'"),
-        (_retensored(lambda doc: (doc["layers"][0], "W"), np.diagonal),
+        (_edited(lambda doc: doc["tensors"].update({"head.W_o": [[0.5] * 8] * 3})),
+         r"tensor head.W_o: .* is not a \{dtype, shape, offset\} entry"),
+        (_without_tensors("layer0.W"), "checkpoint has no tensor layer0.W"),
+        (_retensored("layer0.W", np.diagonal),
          r"layer 0 W \(12,\), expected \(12, 12\)"),
         (_g_above_filters, "layer 0 g=3 exceeds its 2 filters"),
-        (_edited(lambda doc: doc.update(version=1)), "checkpoint version 1 != 3"),
-        (_edited(_version_2), "checkpoint version 2 != 3"),
-        *[(_retensored(_head("b_o"), lambda a, v=value: np.where(
+        (_edited(lambda doc: doc.update(version=1)), "checkpoint version 1 != 4"),
+        (_edited(lambda doc: doc.update(version=2)), "checkpoint version 2 != 4"),
+        *[(_retensored("head.b_o", lambda a, v=value: np.where(
               np.arange(a.size) == 1, v, a)),
            "tensor head.b_o contains non-finite values")
           for value in (np.nan, np.inf, -np.inf)],
+        (_raw(lambda data: data[:12]),
+         "checkpoint file of 12 bytes is shorter than its 16-byte preamble"),
+        (_raw(lambda data: b"PK\x03\x04\x14\x00\x00\x00" + data[8:]),
+         "not a checkpoint file: bad magic"),
+        (_raw(lambda data: data[:8] + struct.pack("<Q", len(data)) + data[16:]),
+         r"checkpoint header of \d+ bytes runs past the end of the \d+-byte file"),
+        (_raw(lambda data: data[:8] + struct.pack("<Q", _header_size(data) - 1)
+              + data[16:]), r"checkpoint header length \d+ is not a multiple of 8"),
+        (_raw(lambda data: data[:16] + b"\xff" * 8 + data[24:]),
+         "checkpoint header is not JSON"),
+        (_edited(lambda doc: doc.pop("tensors")), "header has no tensors object"),
+        (_entry("head.W_o", offset=1 << 20),
+         "tensor head.W_o: offset 1048576 is past the end of the"),
+        (lambda path: _entry("head.W_o", offset=artifact_parts(path)[1][
+            "tensors"]["head.W_o"]["offset"] + 4)(path),
+         r"tensor head.W_o: offset \d+ is not a multiple of 8 \(misaligned\)"),
+        (lambda path: _entry("head.b_h", offset=artifact_parts(path)[1][
+            "tensors"]["head.W_h"]["offset"] + 8)(path),
+         "tensors head.W_h and head.b_h overlap"),
+        (_entry("head.W_o", dtype="<f4"), "tensor head.W_o: dtype '<f4' is not one of"),
+        (_entry("head.W_o", dtype="<i8"), "tensor head.W_o: dtype <i8, expected <f8"),
+        (_edited(lambda doc: doc.update(layers="1")), r"layers='1' \(config key layers\)"),
+        (_raw(lambda data: (DATA_DIR / "checkpoint_v3.json").read_bytes()),
+         r"checkpoint version 3 != 4 \(a JSON file of an earlier layout\)"),
     ], ids=["torn", "list", "no-layers", "no-head", "unknown-relation",
             "head-width", "short-b_h", "long-b_o", "short-labels", "negative-p",
             "float-p", "string-hop", "float-n_sub",
@@ -566,16 +619,12 @@ class TestCheckpoints:
             "long-shape", "negative-shape", "string-shape", "float-shape",
             "float-list-tensor", "no-W", "diagonal-W", "g-above-filters",
             "version-1", "version-2", "nan-b_o", "inf-b_o",
-            "minus-inf-b_o"])
+            "minus-inf-b_o", "short-file", "bad-magic", "header-past-end",
+            "unaligned-header", "header-not-json", "no-tensors",
+            "offset-past-end", "misaligned", "overlapping", "f4-dtype",
+            "int-dtype", "string-layers", "version-3-json"])
     def test_damaged_file_is_schema_format_error(self, tmp_path, damage, match):
         path = _small_checkpoint(tmp_path)
-        path.write_text(damage(path.read_text()))
+        damage(path)
         with pytest.raises(SchemaFormatError, match=match):
             load_checkpoint(str(path))
-
-
-def _without(text, key):
-    doc = json.loads(text)
-    del doc[key]
-    return json.dumps(doc)
-
