@@ -27,8 +27,6 @@ class RunConfig:
     k_grid: list[int] = field(default_factory=lambda: [4, 8, 16, 32, 64])
     k_fixed: int | None = None
     n_filters: int = 8
-    filter_hop: int = 1
-    size_cap: int = 6
     # kernel model
     n_sub: int = 8
     n_filt: int = 6

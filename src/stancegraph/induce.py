@@ -3,8 +3,7 @@
 Pools predicates from a corpus of instance graphs, clusters them with
 seeded k-means (k-means++ init, Lloyd iterations, empty-cluster repair),
 picks the cluster count by silhouette, summarizes each cluster through the
-P2 prompt, builds the weighted multi-relational schema graph, and extracts
-small subgraph filters for the kernel model.
+P2 prompt, and builds the weighted multi-relational schema graph.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .embed import EmbeddingProvider
-from .errors import (DimensionMismatchError, EmptyCorpusError,
-                     InvalidFilterCountError, InvalidKError, SchemaFormatError,
-                     SingleClusterError, StanceGraphError, UnassignedPredicateError)
+from .errors import (DimensionMismatchError, EmptyCorpusError, InvalidKError,
+                     SchemaFormatError, SingleClusterError, StanceGraphError,
+                     UnassignedPredicateError)
 from .fol import FolGraph, Relation
 from .gateway import Gateway, render_p2
 
@@ -71,14 +70,6 @@ class SchemaGraph:
 
 
 @dataclass
-class SchemaFilter:
-    node_ids: list[int]            # schema node ids, center first
-    features: np.ndarray           # (n_nodes, d)
-    adjacency: np.ndarray          # (n_nodes, n_nodes) relation-collapsed
-    center: int
-
-
-@dataclass
 class SchemaLibrary:
     dimension: int
     seed: int
@@ -97,7 +88,8 @@ class SchemaLibrary:
 
 def collect_predicates(corpus: list[FolGraph]) -> list[tuple[str, np.ndarray]]:
     """Pool distinct predicates across the corpus, lexicographically ordered,
-    paired with their (already attached) embeddings."""
+    paired with their (already attached) embeddings; DimensionMismatchError
+    naming both sizes when two embeddings differ in size."""
     if not corpus:
         raise EmptyCorpusError("corpus is empty")
     pool: dict[str, np.ndarray] = {}
@@ -113,7 +105,14 @@ def collect_predicates(corpus: list[FolGraph]) -> list[tuple[str, np.ndarray]]:
                 pool[key] = np.asarray(node.embedding, dtype=np.float64)
     if not pool:
         raise EmptyCorpusError("corpus contains no predicates")
-    return [(key, pool[key]) for key in sorted(pool)]
+    keys = sorted(pool)
+    first = pool[keys[0]]
+    for key in keys:
+        if pool[key].shape != first.shape:
+            raise DimensionMismatchError(
+                f"predicate embeddings differ in size: {keys[0]!r} has d={first.size}, "
+                f"{key!r} has d={pool[key].size}")
+    return [(key, pool[key]) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -338,50 +337,6 @@ def build_schema_graph(nodes: list[SchemaNode], corpus: list[FolGraph],
         for (i, j, rel) in sorted(counts, key=lambda t: (t[0], t[1], t[2].value)):
             edges.append(SchemaEdge(i, j, rel, counts[(i, j, rel)] / max_count))
     return SchemaGraph(nodes=nodes, edges=edges)
-
-
-# ---------------------------------------------------------------------------
-# Filter extraction
-
-def extract_filters(graph: SchemaGraph, n_filters: int, hop: int = 1,
-                    size_cap: int = 6) -> list[SchemaFilter]:
-    """Filters = hop-neighborhood subgraphs around the n_filters most
-    populous schema nodes, truncated to size_cap by edge weight to the
-    center; features are summary embeddings."""
-    if not 1 <= n_filters <= len(graph.nodes):
-        raise InvalidFilterCountError(
-            f"n_filters={n_filters} outside [1, {len(graph.nodes)}]")
-    order = sorted(graph.nodes, key=lambda n: (-n.member_count, n.id))
-    centers = [n.id for n in order[:n_filters]]
-    by_id = {n.id: n for n in graph.nodes}
-    # adjacency lookup with relation channels summed
-    weight: dict[tuple[int, int], float] = {}
-    neighbors: dict[int, set[int]] = {n.id: set() for n in graph.nodes}
-    for e in graph.edges:
-        weight[(e.src, e.dst)] = weight.get((e.src, e.dst), 0.0) + e.weight
-        neighbors[e.src].add(e.dst)
-        neighbors[e.dst].add(e.src)
-
-    filters = []
-    for center in sorted(centers):
-        frontier = {center}
-        seen = {center}
-        for _ in range(hop):
-            frontier = {v for u in frontier for v in neighbors[u]} - seen
-            seen |= frontier
-        others = sorted(seen - {center},
-                        key=lambda v: (-max(weight.get((center, v), 0.0),
-                                            weight.get((v, center), 0.0)), v))
-        ids = [center] + others[:size_cap - 1]
-        feats = np.stack([by_id[i].summary_embedding for i in ids])
-        adj = np.zeros((len(ids), len(ids)), dtype=np.float64)
-        pos = {v: i for i, v in enumerate(ids)}
-        for (u, v), w in weight.items():
-            if u in pos and v in pos:
-                adj[pos[u], pos[v]] = w
-        filters.append(SchemaFilter(node_ids=ids, features=feats,
-                                    adjacency=adj, center=center))
-    return filters
 
 
 def assign_to_cluster(embedding: np.ndarray, result: ClusteringResult) -> int:
@@ -615,8 +570,9 @@ def _edges(columns: np.ndarray, weights: np.ndarray, relations: list,
            k: int) -> list[SchemaEdge]:
     """The edges that (E, 3) columns of src, dst and an index into
     `relations`, and (E,) weights give; SchemaFormatError naming the first
-    edge whose endpoint is not a node id in [0, k) or whose relation index
-    is out of range."""
+    edge whose endpoint is not a node id in [0, k), whose relation index
+    is out of range, or whose weight (a count over the largest count) is
+    not in (0, 1]."""
     if not (columns.ndim == 2 and columns.shape[1] == 3
             and weights.shape == (len(columns),)):
         raise SchemaFormatError(f"edges {list(columns.shape)} and edge_weights "
@@ -630,6 +586,11 @@ def _edges(columns: np.ndarray, weights: np.ndarray, relations: list,
             i = int(bad[0])
             raise SchemaFormatError(f"edge {i} {name}={columns[i, column]} is not {what} "
                                     f"in [0, {bound})", field=name)
+    bad = np.flatnonzero(~((weights > 0) & (weights <= 1)))
+    if bad.size:
+        i = int(bad[0])
+        raise SchemaFormatError(f"edge {i} weight={weights[i]} is not in (0, 1]",
+                                field="edge_weights")
     return [SchemaEdge(src, dst, kinds[rel], weight)
             for (src, dst, rel), weight in zip(columns.tolist(), weights.tolist())]
 

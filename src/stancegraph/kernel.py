@@ -34,9 +34,10 @@ import numpy as np
 from .config import RunConfig
 from .errors import (ConfigError, DimensionMismatchError,
                      FingerprintMismatchError, IndexOutOfRangeError,
-                     InvalidGError, SchemaFormatError, ShapeMismatchError)
+                     InvalidFilterCountError, InvalidGError, SchemaFormatError,
+                     ShapeMismatchError)
 from .fol import FolGraph, FolNode, Predicate, Relation
-from .induce import (SchemaLibrary, assign_to_cluster, extract_filters,
+from .induce import (SchemaGraph, SchemaLibrary, assign_to_cluster,
                      read_artifact, write_artifact)
 
 CHECKPOINT_VERSION = 4
@@ -86,27 +87,67 @@ def _zero_row(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, np.zeros((1,) + a.shape[1:])])
 
 
-def khop_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int) -> SubgraphBatch:
-    """Boolean BFS from every node at once over the undirected skeleton out
-    to `hop` hops; node order is center first, then by hop distance then
-    node index; truncated to n_sub and zero-padded."""
-    n = adjacency.shape[0]
-    undirected = (adjacency != 0) | (adjacency.T != 0)
-    reached = frontier = np.eye(n, dtype=bool)
-    dist = np.where(reached, 0, hop + 1)        # hop + 1: not reached
+def _hops(linked: np.ndarray, sources: np.ndarray, hop: int) -> np.ndarray:
+    """Each node's hop distance from each boolean row of `sources` over the
+    boolean skeleton `linked`, or hop + 1 when it is farther."""
+    reached = frontier = sources
+    dist = np.where(reached, 0, hop + 1)
     for h in range(1, hop + 1):
-        frontier = (frontier @ undirected) & ~reached
+        frontier = (frontier @ linked) & ~reached
         dist[frontier] = h
         reached = reached | frontier
-    order = np.argsort(dist * n + np.arange(n), axis=1)[:, :n_sub]
-    node_indices = np.full((n, n_sub), -1)
+    return dist
+
+
+def _cut(adjacency: np.ndarray, key: np.ndarray, reached: np.ndarray,
+         size: int) -> SubgraphBatch:
+    """Per row of `key`, the `size` nodes of least key (ties to the smaller
+    index), -1 where a node is not `reached`, padded with -1; and their
+    adjacency, zero at the padding."""
+    n = adjacency.shape[0]
+    order = np.argsort(key, axis=1, kind="stable")[:, :size]
+    node_indices = np.full((key.shape[0], size), -1)
     node_indices[:, :order.shape[1]] = np.where(
-        np.take_along_axis(dist, order, axis=1) <= hop, order, -1)
+        np.take_along_axis(reached, order, axis=1), order, -1)
     padded = np.zeros((n + 1, n + 1))           # a zero last row and column
     padded[:n, :n] = adjacency
     return SubgraphBatch(
         adjacency=padded[node_indices[:, :, None], node_indices[:, None, :]],
         node_indices=node_indices)
+
+
+def khop_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int) -> SubgraphBatch:
+    """Boolean BFS from every node at once over the undirected skeleton out
+    to `hop` hops; node order is center first, then by hop distance then
+    node index; truncated to n_sub and zero-padded."""
+    n = adjacency.shape[0]
+    dist = _hops((adjacency != 0) | (adjacency.T != 0), np.eye(n, dtype=bool), hop)
+    return _cut(adjacency, dist * n + np.arange(n), dist <= hop, n_sub)
+
+
+def schema_filters(graph: SchemaGraph, n_filters: int, hop: int,
+                   n_filt: int) -> SubgraphBatch:
+    """The schema filters as subgraphs over the schema nodes: around each
+    of the n_filters nodes with the most members (ties to the smaller id),
+    in id order, the nodes within `hop` hops along edges either way, center
+    first, then by the larger of the summed edge weights to and from the
+    center (ties to the smaller id); truncated to n_filt and zero-padded.
+    A filter's features are `_zero_row(summary embeddings)[node_indices]`."""
+    k = len(graph.nodes)
+    if not 1 <= n_filters <= k:
+        raise InvalidFilterCountError(f"n_filters={n_filters} outside [1, {k}]")
+    src = np.array([e.src for e in graph.edges], dtype=np.int64)
+    dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
+    weight = np.zeros((k, k))
+    np.add.at(weight, (src, dst), [e.weight for e in graph.edges])  # in edge order
+    linked = np.zeros((k, k), dtype=bool)
+    linked[src, dst] = linked[dst, src] = True
+    members = np.array([len(node.members) for node in graph.nodes])
+    centers = np.sort(np.argsort(-members, kind="stable")[:n_filters])
+    reached = _hops(linked, np.eye(k, dtype=bool)[centers], hop) <= hop
+    key = np.where(reached, -np.maximum(weight[centers], weight[:, centers].T), np.inf)
+    key[np.arange(n_filters), centers] = -np.inf
+    return _cut(weight, key, reached, n_filt)
 
 
 def khop_subgraph(adjacency: np.ndarray, features: np.ndarray, v: int,
@@ -207,15 +248,6 @@ class Model:
                 raise ShapeMismatchError(f"parameter {name} contains non-finite values")
 
 
-def _pad_filter(feat: np.ndarray, adj: np.ndarray, n_filt: int) -> tuple[np.ndarray, np.ndarray]:
-    m = min(feat.shape[0], n_filt)
-    out_feat = np.zeros((n_filt, feat.shape[1]), dtype=np.float64)
-    out_feat[:m] = feat[:m]
-    out_adj = np.zeros((n_filt, n_filt), dtype=np.float64)
-    out_adj[:m, :m] = adj[:m, :m]
-    return out_feat, out_adj
-
-
 def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
                 labels: Optional[list[str]] = None,
                 library_fingerprint: str = "") -> Model:
@@ -237,27 +269,27 @@ def build_model(library: Optional[SchemaLibrary], cfg: RunConfig,
     _check_counts(dict(dimension=d, layers=cfg.layers, hidden=cfg.hidden,
                        n_filters=n_filters, **sizes), ConfigError)
     if library is not None and not cfg.random_filters:
-        schema_filters = extract_filters(library.graph, n_filters,
-                                         hop=cfg.filter_hop, size_cap=cfg.size_cap)
-        base = [_pad_filter(f.features, f.adjacency, cfg.n_filt)
-                for f in schema_filters]
+        filters = schema_filters(library.graph, n_filters, cfg.subgraph_hop, cfg.n_filt)
+        embeddings = np.stack([node.summary_embedding for node in library.graph.nodes])
+        feats = _zero_row(embeddings)[filters.node_indices]
+        adjs = filters.adjacency
     else:
-        base = []
+        draws = []
         for _ in range(n_filters):
             feat = rng.normal(0.0, 0.1, size=(cfg.n_filt, d))
             adj = rng.uniform(0.0, 1.0, size=(cfg.n_filt, cfg.n_filt))
             np.fill_diagonal(adj, 0.0)
-            base.append((feat, adj))
+            draws.append((feat, adj))
+        feats = np.stack([f for f, _ in draws])
+        adjs = np.stack([a for _, a in draws])
 
     layers = []
     for level in range(cfg.layers):
-        if level == 0:
-            feats = np.stack([f for f, _ in base])
-        else:
+        if level > 0:
             feats = rng.normal(0.0, 0.1, size=(n_filters, cfg.n_filt, sizes["g"]))
-        layers.append(KernelLayerParams(
-            filter_feats=feats, filter_adjs=np.stack([a for _, a in base]),
-            W=np.eye(cfg.n_sub * cfg.n_filt)))
+        # each layer owns its adjacencies: AdamW updates them in place
+        layers.append(KernelLayerParams(filter_feats=feats, filter_adjs=adjs.copy(),
+                                        W=np.eye(cfg.n_sub * cfg.n_filt)))
 
     D = d + sizes["g"] * len(layers)
     W_h = rng.normal(0.0, 1.0 / np.sqrt(D), size=(cfg.hidden, D))

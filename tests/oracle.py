@@ -55,6 +55,46 @@ def bfs_subgraph_order(adjacency: np.ndarray, v: int, hop: int,
     return order[:n_sub]
 
 
+def loop_schema_filters(graph, n_filters: int, hop: int, n_filt: int):
+    """The schema filters by dict and set BFS, one center at a time: around
+    each of the n_filters most populous nodes (ties to the smaller id), in
+    id order, the hop neighbourhood, center first, then by the larger of
+    the summed edge weights to and from the center, then id; truncated to
+    n_filt and zero-padded. Returns (node_indices, features, adjacencies)
+    with node_indices padded by -1."""
+    order = sorted(graph.nodes, key=lambda n: (-len(n.members), n.id))
+    centers = [n.id for n in order[:n_filters]]
+    by_id = {n.id: n for n in graph.nodes}
+    weight: dict[tuple[int, int], float] = {}
+    neighbors: dict[int, set[int]] = {n.id: set() for n in graph.nodes}
+    for e in graph.edges:
+        weight[(e.src, e.dst)] = weight.get((e.src, e.dst), 0.0) + e.weight
+        neighbors[e.src].add(e.dst)
+        neighbors[e.dst].add(e.src)
+    d = len(graph.nodes[0].summary_embedding)
+    indices = np.full((n_filters, n_filt), -1)
+    feats = np.zeros((n_filters, n_filt, d))
+    adjs = np.zeros((n_filters, n_filt, n_filt))
+    for f, center in enumerate(sorted(centers)):
+        frontier = {center}
+        seen = {center}
+        for _ in range(hop):
+            frontier = {v for u in frontier for v in neighbors[u]} - seen
+            seen |= frontier
+        others = sorted(seen - {center},
+                        key=lambda v: (-max(weight.get((center, v), 0.0),
+                                            weight.get((v, center), 0.0)), v))
+        ids = ([center] + others)[:n_filt]
+        indices[f, :len(ids)] = ids
+        pos = {v: i for i, v in enumerate(ids)}
+        for i, v in enumerate(ids):
+            feats[f, i] = by_id[v].summary_embedding
+        for (u, v), w in weight.items():
+            if u in pos and v in pos:
+                adjs[f, pos[u], pos[v]] = w
+    return indices, feats, adjs
+
+
 def _gather_subgraphs(adjacency: np.ndarray, hop: int, n_sub: int):
     """Every node's subgraph as a 0/1 gather matrix P (N, n_sub, N): the
     features are P X and the adjacencies P A P^T."""

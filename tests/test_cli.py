@@ -364,6 +364,23 @@ class TestErrorPaths:
         assert f"config key {key}" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["filter_hop", "size_cap"])
+    def test_removed_filter_keys_are_unknown(self, pipeline, config_path,
+                                             tmp_path, key):
+        """Filters are cut at the model's subgraph_hop and n_filt, so a
+        config that still sets the keys that once sized them is refused."""
+        config = tmp_path / "config.json"
+        with open(config_path, encoding="utf-8") as fh:
+            config.write_text(json.dumps({**json.load(fh), key: 1}))
+        out = tmp_path / "model.json"
+        result = CliRunner().invoke(main, [
+            "train", "--config", str(config), pipeline["train_graphs"],
+            pipeline["dev_graphs"], pipeline["library"], str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"unknown config keys: ['{key}']" in result.output
+        assert not out.exists()
+
     def test_induce_checks_the_embedding_size_before_p2(self, pipeline,
                                                         monkeypatch, tmp_path):
         """Graph records embedded at the fixture's d, induced under the

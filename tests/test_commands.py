@@ -37,11 +37,11 @@ PARAMS = {
 CONFIG_FIELDS = [
     "dimension", "embedding_provider", "model_id", "mode", "cache_dir",
     "temperature", "max_tokens", "p2_max_lines", "k_grid", "k_fixed",
-    "n_filters", "filter_hop", "size_cap", "n_sub", "n_filt", "walk_length",
-    "top_g", "layers", "hidden", "subgraph_hop", "relation_weights",
-    "batch_size", "learning_rate", "max_epochs", "patience",
-    "validation_interval", "weight_decay", "seed", "random_filters",
-    "skip_augmentation", "label_set",
+    "n_filters", "n_sub", "n_filt", "walk_length", "top_g", "layers",
+    "hidden", "subgraph_hop", "relation_weights", "batch_size",
+    "learning_rate", "max_epochs", "patience", "validation_interval",
+    "weight_decay", "seed", "random_filters", "skip_augmentation",
+    "label_set",
 ]
 
 

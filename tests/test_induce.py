@@ -1,4 +1,4 @@
-"""Schema induction: pooling, clustering, summarization, filter extraction."""
+"""Schema induction: pooling, clustering, summarization, the schema graph."""
 
 import itertools
 import json
@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from stancegraph.embed import test_embed as embed_text
-from stancegraph.errors import (EmptyCorpusError, HttpError,
-                                InvalidFilterCountError, SchemaFormatError,
-                                SingleClusterError)
+from stancegraph.errors import (DimensionMismatchError, EmptyCorpusError,
+                                HttpError, SchemaFormatError, SingleClusterError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
 from stancegraph import induce
 from stancegraph.gateway import Gateway
@@ -18,7 +17,7 @@ from stancegraph.induce import (LIBRARY_VERSION, MAGIC, ClusteringResult, Schema
                                 SchemaGraph,
                                 SchemaNode, abstract_clusters,
                                 assign_to_cluster, build_schema_graph,
-                                collect_predicates, extract_filters,
+                                collect_predicates,
                                 induce_library, kmeans, load_library,
                                 save_library, select_k, silhouette)
 from stancegraph.synth import FIXTURE_INDUCE_SEED
@@ -56,6 +55,17 @@ class TestCollectPredicates:
         g2 = FolGraph(nodes=[_node("A"), _node("B")], edges=[])
         assert [k for k, _ in collect_predicates([g1, g2])] == \
             [k for k, _ in collect_predicates([g2, g1])]
+
+    def test_mixed_embedding_sizes_are_named_before_p2(self, provider,
+                                                      monkeypatch):
+        calls = []
+        monkeypatch.setattr(Gateway, "complete", lambda self, req: calls.append(req))
+        g1 = FolGraph(nodes=[_node("A", "x")], edges=[])
+        g2 = FolGraph(nodes=[_node("B", "y", emb=embed_text("B(y)", 16))], edges=[])
+        with pytest.raises(DimensionMismatchError,
+                           match=r"'A\(x\)' has d=8, 'B\(y\)' has d=16"):
+            induce_library([g1, g2], provider, replay_gateway(), seed=0, k_fixed=2)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -270,40 +280,6 @@ class TestBuildSchemaGraph:
         assert graph.edges == []
 
 
-class TestExtractFilters:
-    def _graph(self, member_counts, edges=()):
-        nodes = [SchemaNode(id=i, summary=f"s{i}", centroid=np.zeros(8),
-                            summary_embedding=embed_text(f"s{i}", 8),
-                            members=[f"m{j}" for j in range(count)])
-                 for i, count in enumerate(member_counts)]
-        return SchemaGraph(nodes=nodes, edges=list(edges))
-
-    def test_centers_top_counts_tie_by_id(self):
-        graph = self._graph([5, 9, 9, 1])
-        filters = extract_filters(graph, n_filters=2)
-        assert sorted(f.center for f in filters) == [1, 2]
-
-    def test_isolated_center(self):
-        graph = self._graph([3])
-        filters = extract_filters(graph, n_filters=1)
-        assert filters[0].node_ids == [0]
-        np.testing.assert_array_equal(filters[0].adjacency, np.zeros((1, 1)))
-
-    def test_star_truncated_by_weight(self):
-        edges = [SchemaEdge(0, i, Relation.IMPLIES, i / 10.0)
-                 for i in range(1, 11)]
-        graph = self._graph([10] + [1] * 10, edges)
-        filters = extract_filters(graph, n_filters=1, size_cap=6)
-        assert filters[0].node_ids == [0, 10, 9, 8, 7, 6]
-
-    def test_bad_filter_count(self):
-        graph = self._graph([1, 1])
-        with pytest.raises(InvalidFilterCountError):
-            extract_filters(graph, n_filters=3)
-        with pytest.raises(InvalidFilterCountError):
-            extract_filters(graph, n_filters=0)
-
-
 class TestAssignToCluster:
     def _result(self, centroids):
         arr = np.asarray(centroids, dtype=np.float64)
@@ -485,6 +461,12 @@ class TestLibraryPersistence:
          r"tensor edge_weights: bytes \d+..\d+ run past the end of the \d+-byte "
          r"payload \(truncated\)"),
         (_edge_edited(2, 4), r"edge 0 relation=4 is not a relation index in \[0, 4\)"),
+        (_retensored("edge_weights", lambda a: np.full_like(a, -0.5)),
+         r"edge 0 weight=-0.5 is not in \(0, 1\] \(field: edge_weights\)"),
+        (_retensored("edge_weights", lambda a: np.full_like(a, 0.0)),
+         r"edge 0 weight=0.0 is not in \(0, 1\] \(field: edge_weights\)"),
+        (_retensored("edge_weights", lambda a: np.full_like(a, 7.0)),
+         r"edge 0 weight=7.0 is not in \(0, 1\] \(field: edge_weights\)"),
         (_entry("edges", dtype="<f8"),
          "tensor edges: dtype <f8, expected <i8"),
         (_nodes_edited(lambda nodes: [dict(nodes[0], members=nodes[0]["members"]
@@ -511,7 +493,8 @@ class TestLibraryPersistence:
             "short-centroids", "wide-centroids", "edge-src-99", "edge-dst-minus-1",
             "string-weight", "string-d", "d-disagrees",
             "nan-centroid", "version-1", "bad-base64", "short-data",
-            "relation-index-out-of-range", "float-edges", "member-in-two-nodes",
+            "relation-index-out-of-range", "negative-weight", "zero-weight",
+            "weight-above-one", "float-edges", "member-in-two-nodes",
             "members-not-strings", "members-not-a-list", "node-without-members",
             "flat-summary-embeddings", "no-tensors", "no-edges", "bad-magic",
             "short-file"])

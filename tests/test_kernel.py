@@ -1,5 +1,6 @@
 """Random-walk kernel engine, model forward/backward, augmentation."""
 
+import itertools
 import json
 import struct
 from dataclasses import fields, replace
@@ -9,17 +10,17 @@ import pytest
 
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (ConfigError, DimensionMismatchError, EmptySetError,
-                                FingerprintMismatchError, InvalidGError,
-                                SchemaFormatError, ShapeMismatchError)
+                                FingerprintMismatchError, InvalidFilterCountError,
+                                InvalidGError, SchemaFormatError, ShapeMismatchError)
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
-from stancegraph.induce import MAGIC
+from stancegraph.induce import MAGIC, SchemaEdge, SchemaGraph, SchemaNode
 from stancegraph.kernel import (CHECKPOINT_VERSION, COUNTS, LAYER_TENSORS, SIZES,
                                 KernelLayerParams,
                                 PaddedSubgraph, augment_graph, backward,
                                 build_model, cross_entropy, forward,
                                 graph_adjacency, khop_subgraph, khop_subgraphs,
                                 layer_forward, load_checkpoint, readout,
-                                save_checkpoint, softmax)
+                                save_checkpoint, schema_filters, softmax)
 from tests.conftest import (DATA_DIR, artifact_parts, base_config, retensor,
                             rewrite_header)
 from tests.oracle import explicit_kernel_oracle, rw_kernel, topg_select
@@ -71,6 +72,40 @@ class TestKhopSubgraph:
         adj = np.ones((3, 3)) - np.eye(3)
         sub = khop_subgraph(adj, np.eye(3), 1, hop=0, n_sub=2)
         assert sub.valid_count == 1 and sub.node_indices == [1]
+
+
+class TestSchemaFilters:
+    def _graph(self, member_counts, edges=()):
+        nodes = [SchemaNode(id=i, summary=f"s{i}", centroid=np.zeros(8),
+                            summary_embedding=embed_text(f"s{i}", 8),
+                            members=[f"m{j}" for j in range(count)])
+                 for i, count in enumerate(member_counts)]
+        return SchemaGraph(nodes=nodes, edges=list(edges))
+
+    def test_centers_top_counts_tie_by_id(self):
+        filters = schema_filters(self._graph([5, 9, 9, 1]), 2, hop=1, n_filt=6)
+        assert filters.node_indices[:, 0].tolist() == [1, 2]
+
+    def test_isolated_center(self):
+        filters = schema_filters(self._graph([3]), 1, hop=1, n_filt=6)
+        assert filters.node_indices.tolist() == [[0, -1, -1, -1, -1, -1]]
+        np.testing.assert_array_equal(filters.adjacency, np.zeros((1, 6, 6)))
+
+    def test_star_truncated_by_weight(self):
+        edges = [SchemaEdge(0, i, Relation.IMPLIES, i / 10.0)
+                 for i in range(1, 11)]
+        filters = schema_filters(self._graph([10] + [1] * 10, edges), 1,
+                                 hop=1, n_filt=6)
+        assert filters.node_indices.tolist() == [[0, 10, 9, 8, 7, 6]]
+        np.testing.assert_array_equal(filters.adjacency[0, 0],
+                                      [0.0, 1.0, 0.9, 0.8, 0.7, 0.6])
+
+    def test_bad_filter_count(self):
+        graph = self._graph([1, 1])
+        with pytest.raises(InvalidFilterCountError):
+            schema_filters(graph, 3, hop=1, n_filt=6)
+        with pytest.raises(InvalidFilterCountError):
+            schema_filters(graph, 0, hop=1, n_filt=6)
 
 
 class TestRwKernel:
@@ -358,6 +393,16 @@ class TestModelStacks:
             assert params[f"layer{li}.filter_adjs"] is layer.filter_adjs
             assert params[f"layer{li}.W"] is layer.W
         assert params["head.W_h"] is model.W_h and params["head.b_o"] is model.b_o
+
+    @pytest.mark.parametrize("random_filters", [False, True])
+    def test_layers_share_no_filter_buffer(self, library, random_filters):
+        """AdamW updates each layer's filters in place, so no two layers
+        may hold views of one buffer."""
+        model = build_model(library, base_config(n_filters=3, layers=3,
+                                                 random_filters=random_filters))
+        for a, b in itertools.combinations(model.layers, 2):
+            for name in ("filter_feats", "filter_adjs"):
+                assert not np.shares_memory(getattr(a, name), getattr(b, name)), name
 
     @pytest.mark.parametrize("where, name", [
         (lambda m: m.layers[1].filter_adjs[1], "layer1.filter_adjs"),

@@ -1,22 +1,25 @@
 """Property tests of the batched kernel engine against independent
-references: one BFS per node for the subgraphs, the materialized Kronecker
-product for every (node, filter) score, finite differences for the
-gradients, and one graph at a time for a minibatch. Examples
-are derandomized so every run checks the same cases."""
+references: one BFS per node for the subgraphs, one dict and set BFS per
+center for the schema filters, the materialized Kronecker product for
+every (node, filter) score, finite differences for the gradients, and one
+graph at a time for a minibatch. Examples are derandomized so every run
+checks the same cases."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stancegraph.fol import FolGraph, FolNode, Predicate, Relation
+from stancegraph.induce import SchemaEdge, SchemaGraph, SchemaLibrary, SchemaNode
 from stancegraph.kernel import (KernelLayerParams, backward, build_model,
                                 cross_entropy, forward, khop_subgraph,
-                                khop_subgraphs, layer_forward)
+                                khop_subgraphs, layer_forward, schema_filters)
 from stancegraph.train import LabeledExample, _batch_loss_and_grads
 from tests.conftest import base_config
 from tests.oracle import (bfs_subgraph_order, explicit_kernel_oracle,
                           finite_difference_errors, gather_forward,
-                          loop_batch_loss_and_grads, topg_select)
+                          loop_batch_loss_and_grads, loop_schema_filters,
+                          topg_select)
 
 SEEDS = st.integers(0, 2**32 - 1)
 # bound on a rounding difference, relative to the sum of absolute terms
@@ -48,6 +51,45 @@ def test_subgraphs_match_bfs_reference(seed, n_nodes, density, hop, n_sub):
         np.testing.assert_array_equal(sub.adjacency, expected_adj)
         np.testing.assert_array_equal(sub.features, expected_feat)
         assert sub.valid_count == m and sub.node_indices == order
+
+
+def _random_schema_graph(rng, k, density, d):
+    """Member counts of 0-2 (so centers tie), parallel edges of several
+    relations in shuffled order, weights from a few round values or
+    uniform (so the ranking ties), and isolated nodes when sparse."""
+    nodes = [SchemaNode(id=i, summary=f"s{i}", centroid=np.zeros(d),
+                        summary_embedding=rng.normal(size=d),
+                        members=[f"m{i}.{j}" for j in range(int(rng.integers(3)))])
+             for i in range(k)]
+    edges = [SchemaEdge(i, j, relation,
+                        float(rng.choice([0.25, 0.5, 1.0]) if rng.uniform() < 0.5
+                              else rng.uniform(0.01, 1.0)))
+             for i in range(k) for j in range(k) for relation in Relation
+             if rng.uniform() < density / 2]
+    rng.shuffle(edges)
+    return SchemaGraph(nodes=nodes, edges=edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=SEEDS, k=st.integers(1, 9), density=st.floats(0.0, 1.0),
+       hop=st.integers(0, 2), n_filt=st.integers(1, 7), data=st.data())
+def test_schema_filters_match_loop_reference(seed, k, density, hop, n_filt, data):
+    """The kernel's cut of the schema filters, and the layer-0 filters
+    build_model makes of them, equal one dict and set BFS per center."""
+    n_filters = data.draw(st.integers(1, k))
+    rng = np.random.default_rng(seed)
+    graph = _random_schema_graph(rng, k, density, 4)
+    indices, feats, adjs = loop_schema_filters(graph, n_filters, hop, n_filt)
+    filters = schema_filters(graph, n_filters, hop, n_filt)
+    np.testing.assert_array_equal(filters.node_indices, indices)
+    np.testing.assert_array_equal(filters.adjacency, adjs)
+    # build_model reads only the library's graph and dimension
+    library = SchemaLibrary(dimension=4, seed=0, graph=graph, clustering=None)
+    cfg = base_config(dimension=4, n_filters=n_filters, subgraph_hop=hop,
+                      n_filt=n_filt, n_sub=2, layers=1)
+    layer = build_model(library, cfg).layers[0]
+    np.testing.assert_array_equal(layer.filter_feats, feats)
+    np.testing.assert_array_equal(layer.filter_adjs, adjs)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
