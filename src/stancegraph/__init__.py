@@ -15,7 +15,7 @@ from .induce import (induce_library, kmeans, load_library, save_library,
                      select_k, silhouette)
 from .kernel import (augment_graph, backward, build_model, forward,
                      load_checkpoint, prepare, save_checkpoint)
-from .train import AdamW, evaluate, load_dataset, macro_f1, train
+from .train import AdamW, evaluate, load_dataset, macro_f1
 
 __all__ = [
     "RunConfig", "FolGraph", "Predicate", "Relation", "build_fol_graph",
@@ -23,7 +23,7 @@ __all__ = [
     "render_p1", "render_p2", "induce_library", "kmeans", "load_library",
     "save_library", "select_k", "silhouette", "augment_graph", "backward",
     "build_model", "forward", "load_checkpoint", "prepare", "save_checkpoint",
-    "AdamW", "evaluate", "load_dataset", "macro_f1", "train",
+    "AdamW", "evaluate", "load_dataset", "macro_f1",
 ]
 
 __version__ = "0.1.0"

@@ -27,9 +27,13 @@ from .gateway import Gateway, render_p2
 
 LIBRARY_VERSION = 3
 KMEANS_MAX_ITER = 300
-# Largest (rows, m, d) float64 difference block the distance code builds:
-# 2**20 elements, 8 MB. Memory stays bounded as the predicate pool grows.
+# Largest (rows, m, d) float64 difference block `_sq_dists` builds: 2**20
+# elements, 8 MB. The silhouette pass keeps each of its temporaries to an
+# eighth of it. Memory stays bounded as the predicate pool grows.
 _CHUNK_ELEMENTS = 1 << 20
+# Largest relative error of a Gram-expanded squared distance the silhouette
+# pass accepts; larger ones are recomputed from differences.
+_SILHOUETTE_RTOL = 1e-12
 
 
 @dataclass
@@ -120,24 +124,28 @@ def collect_predicates(corpus: list[FolGraph]) -> list[tuple[str, np.ndarray]]:
 
 def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringResult:
     """Lloyd's algorithm with k-means++ initialization and deterministic
-    empty-cluster repair (re-seed from the point farthest from its centroid)."""
+    empty-cluster repair (re-seed from the point farthest from its centroid).
+    Assignments come from `_nearest`, which equals the argmin of `_sq_dists`
+    exactly; the repair reads `_sq_dists` values."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidKError(f"k={k} outside [1, {n}]")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
+    norms = np.einsum("ij,ij->i", points, points)
     assignments = np.full(n, -1, dtype=np.int64)
     for _ in range(KMEANS_MAX_ITER):
-        dists = _sq_dists(points, centroids)
-        new_assignments = np.argmin(dists, axis=1)
-        # repair empty clusters from the farthest points
-        for cluster in range(k):
-            if not np.any(new_assignments == cluster):
-                assigned = dists[np.arange(n), new_assignments]
-                farthest = int(np.argmax(assigned))
-                new_assignments[farthest] = cluster
-                centroids[cluster] = points[farthest]
+        new_assignments = _nearest(points, norms, centroids)
+        if np.bincount(new_assignments, minlength=k).min() == 0:
+            # repair empty clusters from the farthest points
+            dists = _sq_dists(points, centroids)
+            for cluster in range(k):
+                if not np.any(new_assignments == cluster):
+                    assigned = dists[np.arange(n), new_assignments]
+                    farthest = int(np.argmax(assigned))
+                    new_assignments[farthest] = cluster
+                    centroids[cluster] = points[farthest]
         if np.array_equal(new_assignments, assignments):
             break
         assignments = new_assignments
@@ -148,29 +156,75 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusteringResult:
                             inertia=inertia, seed=seed)
 
 
-def _sq_dist_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield (start, block): squared distances from rows start:start+len(block)
-    of `a` to every row of `b`, from (rows, m, d) difference blocks of at most
-    _CHUNK_ELEMENTS elements (one row when a single row is larger). Each
-    entry is the same contiguous length-d reduction whatever the block size,
-    so the result does not depend on the chunking bit for bit."""
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between the rows of a and b, from
+    (rows, m, d) difference blocks of at most _CHUNK_ELEMENTS elements (one
+    row when a single row is larger), each squared in place. Each entry is
+    the same contiguous length-d reduction whatever the block size, so the
+    result does not depend on the chunking bit for bit."""
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
     rows = max(1, _CHUNK_ELEMENTS // max(1, b.shape[0] * b.shape[1]))
     for start in range(0, a.shape[0], rows):
-        yield start, _sq_dist_rows(a[start:start + rows], b)
-
-
-def _sq_dist_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    diff *= diff
-    return np.sum(diff, axis=2)
-
-
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(n, m) squared Euclidean distances between the rows of a and b."""
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.float64)
-    for start, block in _sq_dist_blocks(a, b):
-        out[start:start + len(block)] = block
+        diff = a[start:start + rows, None, :] - b[None, :, :]
+        diff *= diff
+        np.sum(diff, axis=2, out=out[start:start + rows])
+        del diff  # one block alive at a time
     return out
+
+
+# Forward-error bound of the Gram expansion. With u = eps/2 the unit
+# roundoff, s = |x|^2 + |c|^2, D = |x - c|^2 the exact value and
+# gamma_n = n*u / (1 - n*u) (Higham, "Accuracy and Stability of Numerical
+# Algorithms", 2nd ed., ch. 3; the dot-product bound holds for any summation
+# order, so for any BLAS):
+# - G = (|x|^2 - 2 x.c) + |c|^2: the two norms and the dot product are
+#   length-d sums, within gamma_d*|x|^2, gamma_d*|c|^2 and
+#   gamma_d*|x||c| <= gamma_d*s/2 of exact; the two additions add at most
+#   u*2s and u*3s. So |G - D| <= (2*gamma_d + 5u)*s, to first order.
+# - F, the `_sq_dists` entry: d squared differences (gamma_3 each), summed
+#   in some order (gamma_(d-1)), so |F - D| <= gamma_(d+2)*D, and
+#   D <= 2s. So |F - D| <= 2*gamma_(d+2)*s.
+# Together |G - F| <= (4d + 9)*u*s to first order. _gram_bound(d) gives
+# 2*(d + 8)*eps*s = (4d + 32)*u*s; the extra 23u*s covers the second-order
+# terms, computing s itself from rounded norms (within gamma_d), and the
+# rounding of a gap and of the bound, for d up to about 10**6. It assumes
+# finite values whose squares neither overflow nor underflow.
+def _gram_bound(d: int) -> float:
+    """The factor that, times s = |x|^2 + |c|^2, bounds both |G - D| and
+    |F - D| above, and so |G - F| with room to spare."""
+    return 2 * (d + 8) * np.finfo(np.float64).eps
+
+
+def _gram_sq_dists(a: np.ndarray, a_norms: np.ndarray, b: np.ndarray,
+                   b_norms: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances as |a|^2 - 2a.b + |b|^2, one GEMM; each entry
+    within _gram_bound(d) * (|a_i|^2 + |b_j|^2) of the exact value."""
+    out = a @ b.T
+    out *= -2.0
+    out += a_norms[:, None]
+    out += b_norms
+    return out
+
+
+def _nearest(points: np.ndarray, norms: np.ndarray,
+             centroids: np.ndarray) -> np.ndarray:
+    """Each point's nearest centroid: np.argmin(_sq_dists(points, centroids),
+    axis=1) exactly, ties to the lower index included, from one GEMM. With
+    E = _gram_bound(d) * (|x|^2 + max |c|^2) per row, every Gram entry is
+    within E of its `_sq_dists` entry. So when the best two Gram distances
+    are more than 2E apart, the Gram argmin is strictly nearest in
+    `_sq_dists` too; the rows where they are not are re-checked with
+    `_sq_dists`."""
+    c_norms = np.einsum("ij,ij->i", centroids, centroids)
+    gram = _gram_sq_dists(points, norms, centroids, c_norms)
+    nearest = np.argmin(gram, axis=1)
+    if centroids.shape[0] > 1:
+        best2 = np.partition(gram, 1, axis=1)
+        bound = _gram_bound(points.shape[1]) * (norms + c_norms.max())
+        close = np.flatnonzero(best2[:, 1] - best2[:, 0] <= 2.0 * bound)
+        if close.size:
+            nearest[close] = np.argmin(_sq_dists(points[close], centroids), axis=1)
+    return nearest
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -203,8 +257,9 @@ def silhouette(points: np.ndarray, assignments: np.ndarray) -> float:
 def silhouettes(points: np.ndarray, labelings: list[np.ndarray]) -> list[float]:
     """`silhouette` of each labeling of the same points, from one chunked
     pass over the pairwise distances: each row block's distances to all
-    points are summed per cluster of every labeling at once, through a
-    stacked one-hot (n, sum of K) matrix."""
+    points (one GEMM, with the entries it could get wrong recomputed from
+    differences) are summed per cluster of every labeling at once, through
+    a stacked one-hot (n, sum of K) matrix."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     rows = np.arange(n)
@@ -220,8 +275,21 @@ def silhouettes(points: np.ndarray, labelings: list[np.ndarray]) -> list[float]:
     for code, offset in zip(codes, offsets):
         onehot[rows, offset + code] = 1.0
     sums = np.empty_like(onehot)           # per-point distance sum per cluster
-    for start, block in _sq_dist_blocks(points, points):
-        sums[start:start + len(block)] = np.sqrt(np.maximum(block, 0.0)) @ onehot
+    norms = np.einsum("ij,ij->i", points, points)
+    # A Gram entry G is within E = _gram_bound(d) * (|x|^2 + |y|^2) of the
+    # exact squared distance; it is used where E <= 1e-12 * G, so it is not
+    # negative, its square root is within 1e-12 relative of the exact
+    # distance, and the per-point scores, being (b - a) / (a + b), within
+    # about 1e-12 too. The rest (the diagonal, near-duplicate pairs) are
+    # recomputed from differences.
+    slack = _gram_bound(points.shape[1]) / _SILHOUETTE_RTOL
+    rows_per_block = max(1, _CHUNK_ELEMENTS // (8 * n))
+    for start in range(0, n, rows_per_block):
+        stop = min(start + rows_per_block, n)
+        block = _gram_sq_dists(points[start:stop], norms[start:stop], points, norms)
+        i, j = np.nonzero(block < slack * np.add.outer(norms[start:stop], norms))
+        block[i, j] = _paired_sq_dists(points, start + i, j)
+        sums[start:stop] = np.sqrt(block, out=block) @ onehot
     scores = []
     for code, size, offset in zip(codes, sizes, offsets):
         own_size = size[code]
@@ -235,6 +303,19 @@ def silhouettes(points: np.ndarray, labelings: list[np.ndarray]) -> list[float]:
         point_scores[valid] = (b[valid] - a[valid]) / denom[valid]
         scores.append(float(point_scores.mean()))
     return scores
+
+
+def _paired_sq_dists(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|points[i] - points[j]|^2 for index arrays i and j, from (pairs, d)
+    difference blocks of at most _CHUNK_ELEMENTS / 8 elements."""
+    out = np.empty(i.size, dtype=np.float64)
+    step = max(1, _CHUNK_ELEMENTS // (8 * points.shape[1]))
+    for start in range(0, i.size, step):
+        diff = points[i[start:start + step]]
+        diff -= points[j[start:start + step]]
+        diff *= diff
+        np.sum(diff, axis=1, out=out[start:start + step])
+    return out
 
 
 def select_k(points: np.ndarray, k_grid: list[int], seed: int,

@@ -11,6 +11,7 @@ from stancegraph.embed import fnv1a64
 from stancegraph.errors import (DimensionMismatchError, ParseError,
                                 StanceGraphError)
 from stancegraph.fol import Connective, FolExpr, Predicate
+from stancegraph.induce import KMEANS_MAX_ITER, ClusteringResult, _kmeans_pp_init
 from stancegraph.kernel import (PaddedSubgraph, _kernel_values, _topg, _walk,
                                 cross_entropy, graph_adjacency, khop_subgraphs)
 
@@ -257,6 +258,41 @@ def finite_difference_errors(model, loss, grads, step=1e-4, max_entries=40):
                 worst, worst_name = rel, name
         checked += len(idx)
     return worst, worst_name, checked
+
+
+def loop_kmeans(points: np.ndarray, k: int, seed: int,
+                repairs: list | None = None) -> ClusteringResult:
+    """Lloyd's algorithm as `induce.kmeans` ran it before the Gram-expanded
+    assignment: every step takes the argmin of the one-shot difference
+    broadcast, and the empty-cluster repair reads the same matrix. Each
+    repair is appended to `repairs` as (step, cluster) when given. Only for
+    small sizes: the broadcast builds an (n, k, d) temporary."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_pp_init(points, k, rng)
+    assignments = np.full(n, -1, dtype=np.int64)
+    for step in range(KMEANS_MAX_ITER):
+        diff = points[:, None, :] - centroids[None, :, :]
+        dists = np.sum(diff * diff, axis=2)
+        new_assignments = np.argmin(dists, axis=1)
+        # repair empty clusters from the farthest points
+        for cluster in range(k):
+            if not np.any(new_assignments == cluster):
+                assigned = dists[np.arange(n), new_assignments]
+                farthest = int(np.argmax(assigned))
+                new_assignments[farthest] = cluster
+                centroids[cluster] = points[farthest]
+                if repairs is not None:
+                    repairs.append((step, cluster))
+        if np.array_equal(new_assignments, assignments):
+            break
+        assignments = new_assignments
+        for cluster in range(k):
+            centroids[cluster] = points[assignments == cluster].mean(axis=0)
+    inertia = float(np.sum((points - centroids[assignments]) ** 2))
+    return ClusteringResult(k=k, assignments=assignments, centroids=centroids,
+                            inertia=inertia, seed=seed)
 
 
 def loop_silhouette(points: np.ndarray, assignments: np.ndarray) -> float:

@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import importlib
-
-train_mod = importlib.import_module("stancegraph.train")
+import stancegraph
+from stancegraph import train as train_mod
 from stancegraph.embed import test_embed as embed_text
 from stancegraph.errors import (BadHeaderError, BadLabelError,
                                 CacheFormatError, ConfigError, EmptySetError)
@@ -231,6 +230,11 @@ class TestTrain:
             train([], _toy_set(3), model, cfg)
         with pytest.raises(EmptySetError):
             train(_toy_set(3), [], model, cfg)
+
+    def test_package_name_is_the_module(self):
+        # the package does not re-export the function under the module's name
+        assert stancegraph.train is train_mod
+        assert "train" not in stancegraph.__all__
 
 
 class _PathLength(AdamW):
